@@ -104,13 +104,12 @@ fn bench_sim_kernel(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The execution kernel's tiers on the same engine workload: exact
-    // per-cycle stepping, the event-heap kernel (quiescence skipped), and
-    // batched basic-block execution on top of it. All three land on
-    // bit-identical state; these measure what each tier costs or buys.
+    // The execution kernel's two modes on the same engine workload: exact
+    // per-cycle stepping, and quiescence skipping plus batched basic-block
+    // execution. Both land on bit-identical state; these measure what the
+    // kernel costs or buys.
     for (name, mode) in [
         ("soc_run_10k_per_cycle", mcds_soc::ExecMode::PerCycle),
-        ("soc_run_10k_event_kernel", mcds_soc::ExecMode::EventKernel),
         (
             "soc_run_10k_block_batched",
             mcds_soc::ExecMode::BlockBatched,

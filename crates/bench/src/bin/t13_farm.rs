@@ -18,7 +18,8 @@
 //! * **T13b (churn)** — create → run → evict → revive (hash-verified) →
 //!   destroy, as fast as the service can turn sessions over, all through
 //!   the TCP wire path; reports sessions/s and the full evict/revive
-//!   byte volume.
+//!   byte volume, and asserts the untraced sessions ran through the
+//!   execution kernel (`farm_cycles_batched_total > 0`).
 //!
 //! Artifacts: `t13_farm_telemetry.json` + `t13_farm.prom` (the `farm_*`
 //! metric namespace) and `t13_fleet_health.txt` (the aggregate
@@ -197,6 +198,12 @@ fn main() {
     assert_eq!(stats.evicted as usize, churn_sessions);
     assert_eq!(stats.revived as usize, churn_sessions);
     assert_eq!(stats.destroyed as usize, churn_sessions + fleet_ids.len());
+    // Untraced sessions are idle devices: their quanta run through the
+    // execution kernel, and the farm's counters must say so.
+    assert!(
+        stats.cycles_batched_total > 0,
+        "untraced farm sessions must run batched: {stats:?}"
+    );
 
     // --- Artifacts. -------------------------------------------------------
     let out = write_telemetry_artifacts(&args, "t13_farm", &tel);

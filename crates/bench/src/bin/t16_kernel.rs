@@ -2,20 +2,24 @@
 //! basic-block execution and quiescent-stretch skipping vs exact
 //! per-cycle stepping.
 //!
-//! The kernel replaces the uniform per-cycle loop with a component-wakeup
-//! min-heap (idle stretches are skipped in O(log n)) and a decode-cached
-//! basic-block layer for straight-line TC-RISC runs. Both tiers promise
-//! bit-identical architectural state; this experiment measures what that
-//! buys and asserts the promise on every run:
+//! The kernel replaces the uniform per-cycle loop with a min-fold over
+//! component wakeups (idle stretches are skipped in one jump) and a
+//! decode-cached basic-block layer for straight-line TC-RISC runs. Both
+//! tiers promise bit-identical architectural state; this experiment
+//! measures what that buys and asserts the promise on every run:
 //!
 //! * **T16a** — straight-line speed: an idle-MCDS ALU/memory loop under
-//!   `PerCycle`, `EventKernel` and `BlockBatched`, best-of-N wall time,
-//!   identical state hashes asserted, block-batched >= 5x per-cycle;
+//!   `PerCycle` and `BlockBatched`, best-of-N wall time, identical state
+//!   hashes asserted, block-batched >= 5x per-cycle;
 //! * **T16b** — quiescent skip: a timer-wait workload (halted core, armed
-//!   timer) where the event kernel must be >= 10x per-cycle;
-//! * **T16c** — observation safety: the same workload traced; every mode
+//!   timer) where block-batched must be >= 10x per-cycle;
+//! * **T16c** — observation safety: the same workload traced; both modes
 //!   must produce identical encoded trace bytes, decoded messages and
 //!   state hashes (the idle gate keeps observed runs exact);
+//! * **T16d** — the consumer's view: the four catalog workloads as
+//!   untraced farm-recipe sessions through `Session::run` at the farm
+//!   quantum, per mode, with ExecStats (printed, speed not asserted;
+//!   state hashes asserted identical);
 //! * the idle-skip / block-hit-rate table and the kernel counters
 //!   published as `t16_kernel_telemetry.{json,prom}`.
 //!
@@ -24,6 +28,8 @@
 use mcds::observer::{CoreTraceConfig, TraceQualifier};
 use mcds::McdsConfig;
 use mcds_bench::{print_table, write_telemetry_artifacts, BenchArgs};
+use mcds_farm::{device_spec, FarmConfig};
+use mcds_host::Session;
 use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
 use mcds_replay::{device_state_hash, SocSnapshot};
 use mcds_soc::asm::assemble;
@@ -31,6 +37,7 @@ use mcds_soc::cpu::CoreConfig;
 use mcds_soc::{ExecMode, ExecStats};
 use mcds_telemetry::Telemetry;
 use mcds_trace::StreamDecoder;
+use mcds_workloads::Workload;
 use std::time::Instant;
 
 /// Straight-line workload: a hot ALU + SRAM loop that never halts — the
@@ -53,8 +60,8 @@ const STRAIGHT_LINE: &str = "
 ";
 
 /// Timer-wait workload: the core arms the system timer and halts; the
-/// only activity is the periodic fire re-arming itself. The event kernel
-/// skips the quiet stretches wholesale.
+/// only activity is the periodic fire re-arming itself. The kernel skips
+/// the quiet stretches wholesale.
 const TIMER_WAIT: &str = "
     .equ PERIOD_REG, 0xF0000008
     .org 0x80000000
@@ -114,22 +121,46 @@ fn timed(src: &str, mode: ExecMode, cycles: u64) -> (f64, u64, u64, ExecStats) {
     )
 }
 
+const MODES: [ExecMode; 2] = [ExecMode::PerCycle, ExecMode::BlockBatched];
+
+/// One untraced farm-recipe session of `w` run for `cycles` in farm
+/// quanta under `mode`. Returns wall seconds, the final state hash and the
+/// kernel counters accumulated by the runs.
+fn session_run(w: Workload, mode: ExecMode, cycles: u64, quantum: u64) -> (f64, u64, ExecStats) {
+    let mut dev = device_spec(w, false).build();
+    dev.soc_mut().load_program(&w.program());
+    let mut s = Session::attach(dev, FarmConfig::default().iface, &w.program(), None)
+        .expect("session attaches");
+    s.set_exec_mode(mode);
+    let before = *s.exec_stats();
+    let start = Instant::now();
+    let mut left = cycles;
+    while left > 0 {
+        let report = s.run(left.min(quantum));
+        assert!(report.stop.is_none(), "catalog workloads run free");
+        left -= report.ran;
+    }
+    let wall = start.elapsed().as_secs_f64();
+    let after = *s.exec_stats();
+    let stats = ExecStats {
+        stepped_cycles: after.stepped_cycles - before.stepped_cycles,
+        skipped_cycles: after.skipped_cycles - before.skipped_cycles,
+        block_cycles: after.block_cycles - before.block_cycles,
+        ..ExecStats::default()
+    };
+    (wall, s.state_hash(), stats)
+}
+
 fn mode_name(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::PerCycle => "per-cycle",
-        ExecMode::EventKernel => "event-kernel",
         ExecMode::BlockBatched => "block-batched",
     }
 }
 
-/// Best-of-N over the three modes; asserts state and snapshot hashes are
-/// identical across all of them, returns per-mode (wall, stats).
+/// Best-of-N over both modes; asserts state and snapshot hashes are
+/// identical across them, returns per-mode (wall, stats).
 fn compare(src: &str, cycles: u64, repeats: usize) -> Vec<(ExecMode, f64, ExecStats)> {
-    const MODES: [ExecMode; 3] = [
-        ExecMode::PerCycle,
-        ExecMode::EventKernel,
-        ExecMode::BlockBatched,
-    ];
     let mut out = Vec::new();
     let mut reference: Option<(u64, u64)> = None;
     for mode in MODES {
@@ -207,14 +238,14 @@ fn main() {
         &line,
     );
     let wall_per_cycle = line[0].1;
-    let wall_block = line[2].1;
+    let wall_block = line[1].1;
     let line_speedup = wall_per_cycle / wall_block;
     println!("block-batched speedup {line_speedup:.2}x vs per-cycle; hashes identical\n");
     assert!(
         line_speedup >= 5.0,
         "block-batched must be >= 5x per-cycle on straight-line code (got {line_speedup:.2}x)"
     );
-    let block_stats = line[2].2;
+    let block_stats = line[1].2;
     assert!(
         block_stats.block_cycles > (cycles / 10) * 9,
         "the hot loop must run overwhelmingly in blocks: {block_stats:?}"
@@ -228,17 +259,17 @@ fn main() {
         &quiet,
     );
     let wall_quiet_per_cycle = quiet[0].1;
-    let wall_quiet_event = quiet[1].1;
-    let quiet_speedup = wall_quiet_per_cycle / wall_quiet_event;
-    println!("event-kernel speedup {quiet_speedup:.2}x vs per-cycle; hashes identical\n");
+    let wall_quiet_block = quiet[1].1;
+    let quiet_speedup = wall_quiet_per_cycle / wall_quiet_block;
+    println!("block-batched skip speedup {quiet_speedup:.2}x vs per-cycle; hashes identical\n");
     assert!(
         quiet_speedup >= 10.0,
-        "the event kernel must be >= 10x per-cycle on a quiescent workload (got {quiet_speedup:.2}x)"
+        "block-batched must be >= 10x per-cycle on a quiescent workload (got {quiet_speedup:.2}x)"
     );
-    let event_stats = quiet[1].2;
+    let skip_stats = quiet[1].2;
     assert!(
-        event_stats.skipped_cycles > (quiet_cycles / 10) * 9,
-        "a timer-wait run must skip almost everything: {event_stats:?}"
+        skip_stats.skipped_cycles > (quiet_cycles / 10) * 9,
+        "a timer-wait run must skip almost everything: {skip_stats:?}"
     );
 
     // --- T16c: traced runs are mode-independent, trace included. --------
@@ -255,23 +286,80 @@ fn main() {
         (bytes, msgs, device_state_hash(&dev))
     };
     let want = traced(ExecMode::PerCycle);
-    for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-        let got = traced(mode);
-        assert_eq!(
-            got.0,
-            want.0,
-            "{}: traced run must produce identical sink bytes",
-            mode_name(mode)
-        );
-        assert_eq!(got.1, want.1, "{}: decoded trace differs", mode_name(mode));
-        assert_eq!(got.2, want.2, "{}: state hash differs", mode_name(mode));
-    }
+    let got = traced(ExecMode::BlockBatched);
+    assert_eq!(
+        got.0, want.0,
+        "traced run must produce identical sink bytes"
+    );
+    assert_eq!(got.1, want.1, "decoded trace differs");
+    assert_eq!(got.2, want.2, "state hash differs");
     println!(
-        "T16c: traced runs bit-identical across all modes \
+        "T16c: traced runs bit-identical across both modes \
          ({} trace bytes, {} decoded messages)\n",
         want.0.len(),
         want.1.len()
     );
+
+    // --- T16d: catalog sessions at the farm quantum. --------------------
+    let session_cycles: u64 = args.scale(2_000_000, 400_000);
+    let quantum = FarmConfig::default().quantum;
+    let mut rows = Vec::new();
+    for w in [
+        Workload::Engine,
+        Workload::Gearbox,
+        Workload::EngineGearbox,
+        Workload::EngineGearboxVehicle,
+    ] {
+        let mut want = None;
+        let mut per_cycle_wall = 0.0;
+        for mode in MODES {
+            let mut best = f64::MAX;
+            let mut stats = ExecStats::default();
+            for _ in 0..repeats {
+                let (wall, hash, s) = session_run(w, mode, session_cycles, quantum);
+                assert_eq!(
+                    *want.get_or_insert(hash),
+                    hash,
+                    "{}: {} session diverged from per-cycle",
+                    w.name(),
+                    mode_name(mode)
+                );
+                if wall < best {
+                    best = wall;
+                    stats = s;
+                }
+            }
+            if mode == ExecMode::PerCycle {
+                per_cycle_wall = best;
+            }
+            rows.push(vec![
+                w.name().into(),
+                mode_name(mode).into(),
+                format!("{:.2}", session_cycles as f64 / best / 1e6),
+                format!("{:.2}x", per_cycle_wall / best),
+                format!("{}", stats.stepped_cycles),
+                format!("{}", stats.skipped_cycles),
+                format!("{}", stats.block_cycles),
+            ]);
+        }
+    }
+    print_table(
+        &format!(
+            "T16d: untraced catalog sessions, {session_cycles} cycles through Session::run \
+             at the {quantum}-cycle farm quantum (best of {repeats})"
+        ),
+        &[
+            "workload",
+            "mode",
+            "Mcycles/s",
+            "vs per-cycle",
+            "stepped",
+            "skipped",
+            "block cyc",
+        ],
+        &rows,
+    );
+    println!();
 
     // --- Telemetry artifacts. -------------------------------------------
     let tel = Telemetry::new();
@@ -285,10 +373,10 @@ fn main() {
         "t16_skipped_cycles_total",
         "cycles skipped as quiescent (timer-wait run)",
     )
-    .add(event_stats.skipped_cycles);
+    .add(skip_stats.skipped_cycles);
     r.gauge("t16_line_speedup", "block-batched speedup vs per-cycle")
         .set(line_speedup);
-    r.gauge("t16_quiet_speedup", "event-kernel speedup vs per-cycle")
+    r.gauge("t16_quiet_speedup", "quiescent-skip speedup vs per-cycle")
         .set(quiet_speedup);
     let decodes = block_stats.decode_hits + block_stats.decode_misses;
     r.gauge(

@@ -151,7 +151,7 @@ fn main() {
     run_with_stimulus(&mut dev, &mut player, RUN_CYCLES / 2, false);
     dev.execute(InterfaceKind::Jtag, DebugOp::HaltCore(CoreId(0)))
         .unwrap();
-    dev.soc_mut().advance_clock(memmap::ns_to_cycles(5_000_000)); // developer looks around
+    dev.wait_cycles(memmap::ns_to_cycles(5_000_000)); // developer looks around
     dev.execute(InterfaceKind::Jtag, DebugOp::ResumeCore(CoreId(0)))
         .unwrap();
     run_with_stimulus(&mut dev, &mut player, RUN_CYCLES / 2, false);

@@ -45,8 +45,9 @@ const SWEEP_PER_MILLE: [u16; 6] = [0, 10, 25, 50, 75, 100];
 const SMOKE_SWEEP_PER_MILLE: [u16; 2] = [0, 50];
 const SYNC_INTERVAL: u64 = 4;
 
-/// A halted single-core ED device: `wait_cycles` jumps the clock, so the
-/// multi-millisecond USB timeouts of the sweep cost no host time.
+/// A halted single-core ED device: `wait_cycles` skips quiescent time in
+/// the execution kernel, so the multi-millisecond USB timeouts of the
+/// sweep cost next to no host time.
 fn quiescent_device() -> Device {
     let mut dev = DeviceBuilder::new(DeviceVariant::EdSideBooster)
         .cores(1)

@@ -426,7 +426,6 @@ fn dispatch(method: &str, params: &Value, corr: u64, shared: &Shared) -> Result<
             let id = proto::p_u64(params, "session")?;
             let mode = match proto::p_str(params, "mode")? {
                 "per_cycle" => mcds_soc::ExecMode::PerCycle,
-                "event_kernel" => mcds_soc::ExecMode::EventKernel,
                 "block_batched" => mcds_soc::ExecMode::BlockBatched,
                 other => {
                     return Err(RpcError::new(

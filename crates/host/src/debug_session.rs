@@ -25,18 +25,13 @@ use mcds_replay::{device_state_hash, SocSnapshot};
 use mcds_soc::asm::Program;
 use mcds_soc::event::CoreId;
 use mcds_soc::isa::Reg;
-use mcds_soc::RunState;
+use mcds_soc::sink::NullSink;
+use mcds_soc::{HaltStop, RunState};
 use mcds_xcp::XcpMaster;
 
 /// Session snapshot format version; bump on any incompatible change to
 /// [`SessionSnapshot`]'s layout.
 pub const SESSION_SNAPSHOT_VERSION: u32 = 1;
-
-/// Cycles run between stop checks in [`Session::run`]. Stop detection
-/// lands on a chunk boundary, so the boundary must be identical however
-/// the surrounding run quanta are sliced — that is what keeps farm
-/// scheduling off the determinism path.
-const RUN_CHUNK: u64 = 64;
 
 /// Everything needed to revive a suspended session on a structurally
 /// identical device: the debugger book-keeping, the device snapshot, and
@@ -73,8 +68,8 @@ impl SessionSnapshot {
 /// The outcome of one [`Session::run`] quantum.
 #[derive(Debug, Clone, Copy)]
 pub struct RunReport {
-    /// Cycles actually run (always the full request; the device keeps
-    /// counting cycles even with all cores halted).
+    /// Cycles actually run: the full request, unless a core halted, in
+    /// which case the quantum ends on the exact cycle it halted.
     pub ran: u64,
     /// The first core that newly halted during the quantum, if any.
     pub stop: Option<StopEvent>,
@@ -136,26 +131,24 @@ impl Session {
         self.obs_corr = corr;
     }
 
-    /// Runs the device for up to `cycles` cycles, checking for a halted
-    /// core on every [`RUN_CHUNK`] boundary. If a core is already halted
-    /// when the quantum starts (a breakpoint can fire during the very link
-    /// latency of arming it), the stop is reported immediately with zero
-    /// cycles run — mirroring [`Debugger::wait_for_stop`]. A stop ends the
+    /// Runs the device for up to `cycles` cycles, stopping on the exact
+    /// cycle any core halts — so a stop lands on the same cycle however
+    /// the surrounding run quanta are sliced, which keeps farm scheduling
+    /// off the determinism path. If a core is already halted when the
+    /// quantum starts (a breakpoint can fire during the very link latency
+    /// of arming it), the stop is reported immediately with zero cycles
+    /// run — mirroring [`Debugger::wait_for_stop`]. A stop ends the
     /// quantum: remaining cycles are not run, and the report says how many
     /// were.
     pub fn run(&mut self, cycles: u64) -> RunReport {
         let mut ran = 0;
         let mut stop = self.any_halted();
         if stop.is_none() {
-            while ran < cycles {
-                let n = RUN_CHUNK.min(cycles - ran);
-                self.dbg.device_mut().run_cycles(n);
-                ran += n;
-                stop = self.any_halted();
-                if stop.is_some() {
-                    break;
-                }
-            }
+            ran = self
+                .dbg
+                .device_mut()
+                .run_into(cycles, Some(HaltStop::Any), &mut NullSink);
+            stop = self.any_halted();
         }
         let start_cycle = self.cycles_run;
         self.cycles_run += ran;
@@ -458,23 +451,62 @@ mod tests {
         Session::attach(dev, InterfaceKind::Jtag, &w.program(), None).unwrap()
     }
 
+    /// A session whose core counts `n` loop passes down in flash, then
+    /// spins at `done` — a breakpoint target first reached long after
+    /// the link latency of arming it. Returns the session and `done`.
+    fn countdown_session(n: u32) -> (Session, u32) {
+        let program = mcds_soc::asm::assemble(&format!(
+            "
+            .org 0x80000000
+            start:
+                li r1, {n}
+            count:
+                addi r1, r1, -1
+                bne r1, r0, count
+            done:
+                j done
+            "
+        ))
+        .unwrap();
+        let mut dev = spec_for(Workload::Engine).build();
+        dev.soc_mut().load_program(&program);
+        let done = program.symbols["done"];
+        let session = Session::attach(dev, InterfaceKind::Jtag, &program, None).unwrap();
+        (session, done)
+    }
+
+    /// The cycle at which `s`'s first core halts when its device is
+    /// stepped one cycle at a time (at most `limit` cycles).
+    fn per_cycle_halt(s: &mut Session, limit: u64) -> u64 {
+        let dev = s.debugger_mut().device_mut();
+        for stepped in 1..=limit {
+            dev.step_into(&mut NullSink);
+            if dev.soc().cores().any(|c| c.is_halted()) {
+                return stepped;
+            }
+        }
+        panic!("no core halted within {limit} cycles");
+    }
+
     #[test]
     fn run_reports_hw_breakpoint_stop() {
-        let w = Workload::Engine;
-        let mut s = fresh_session(w);
-        // Engine code is flash-resident: only HW breakpoints work there.
-        // Arming the comparator itself costs link latency (the core runs
-        // meanwhile), so break on the control loop, not the init code.
-        let cycle_label = w.program().symbols["cycle"];
-        s.set_hw_breakpoint(CoreId(0), cycle_label).unwrap();
+        // Flash-resident code: only HW breakpoints work there.
+        let (mut s, done) = countdown_session(10_000);
+        let (mut twin, _) = countdown_session(10_000);
+        twin.set_exec_mode(mcds_soc::ExecMode::PerCycle);
+        s.set_hw_breakpoint(CoreId(0), done).unwrap();
+        twin.set_hw_breakpoint(CoreId(0), done).unwrap();
         let report = s.run(200_000);
         let stop = report.stop.expect("hw breakpoint fires");
-        assert_eq!(stop.core, CoreId(0));
+        assert_eq!((stop.core, stop.pc), (CoreId(0), done));
+        assert!(report.ran > 0, "armed before the countdown ended");
         assert!(report.ran < 200_000, "stopped before the quantum ended");
-        assert!(
-            report.ran.is_multiple_of(RUN_CHUNK),
-            "stop lands on chunk boundary"
+        assert_eq!(
+            report.ran,
+            per_cycle_halt(&mut twin, 200_000),
+            "stop lands on the exact halt cycle"
         );
+        assert_eq!(s.state_hash(), twin.state_hash());
     }
 
     #[test]
@@ -489,6 +521,57 @@ mod tests {
         }
         assert_eq!(a.state_hash(), b.state_hash());
         assert_eq!(a.cycles_run(), b.cycles_run());
+
+        // With a hardware breakpoint armed, the stop lands on the same
+        // cycle however the run is sliced, in either execution mode.
+        let mut outcomes = Vec::new();
+        for mode in [
+            mcds_soc::ExecMode::BlockBatched,
+            mcds_soc::ExecMode::PerCycle,
+        ] {
+            for (quanta, quantum) in [(1, 200_000), (200, 1_000)] {
+                let (mut s, done) = countdown_session(10_000);
+                s.set_exec_mode(mode);
+                s.set_hw_breakpoint(CoreId(0), done).unwrap();
+                let mut ran = 0;
+                let mut stop = None;
+                for _ in 0..quanta {
+                    let report = s.run(quantum);
+                    ran += report.ran;
+                    stop = stop.or(report.stop);
+                }
+                let pc = stop.expect("hw breakpoint fires").pc;
+                outcomes.push((ran, pc, s.state_hash()));
+            }
+        }
+        assert!(
+            outcomes.iter().all(|o| *o == outcomes[0]),
+            "slicing or mode changed the stop: {outcomes:?}"
+        );
+    }
+
+    #[test]
+    fn exec_stats_account_for_every_cycle() {
+        // Traced (armed MCDS: every cycle stepped by the device) and
+        // untraced (idle device, service core included: the kernel
+        // batches) sessions alike account every advanced cycle once.
+        let w = Workload::Engine;
+        let mut dev = DeviceSpec {
+            mcds: None,
+            ..spec_for(w)
+        }
+        .build();
+        dev.soc_mut().load_program(&w.program());
+        let plain = Session::attach(dev, InterfaceKind::Jtag, &w.program(), None).unwrap();
+        for (mut s, batched) in [(fresh_session(w), false), (plain, true)] {
+            s.run(50_000);
+            s.read_words(0xD000_0000, 4).unwrap();
+            s.run(50_000);
+            let stats = *s.exec_stats();
+            let cycle = s.debugger().device().soc().cycle();
+            assert_eq!(stats.total_cycles(), cycle, "{stats:?}");
+            assert_eq!(stats.block_cycles > 0, batched, "{stats:?}");
+        }
     }
 
     #[test]

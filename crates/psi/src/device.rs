@@ -31,6 +31,7 @@ use mcds_soc::isa::{MemWidth, Reg};
 use mcds_soc::mem::SegmentRole;
 use mcds_soc::sink::{Collect, CycleSink, NullSink};
 use mcds_soc::soc::{memmap, Soc, SocBuilder, SocState};
+use mcds_soc::HaltStop;
 use mcds_telemetry::{Subsystem, Telemetry};
 use std::collections::HashMap;
 use std::fmt;
@@ -888,36 +889,49 @@ impl Device {
             .expect("step_into observes exactly one cycle")
     }
 
+    /// True when every per-cycle device-layer action is provably a no-op:
+    /// the MCDS is idle ([`mcds::Mcds::is_idle`]) and so is the service
+    /// core ([`ServiceProcessor::is_idle`]). Neither can change inside a
+    /// run, so while this holds a run may go through the SoC execution
+    /// kernel, which batches and skips as far as the sink's
+    /// [`CycleSink::wants_cycles`] contract allows.
+    fn is_idle(&self) -> bool {
+        self.mcds.is_idle() && self.service.as_ref().is_none_or(ServiceProcessor::is_idle)
+    }
+
+    /// The single device run loop: advances up to `max_cycles` or, with a
+    /// `stop`, until the halted cores satisfy it (on the exact cycle, in
+    /// either path), streaming observed cycles into `sink`. Returns the
+    /// cycles consumed. An idle device runs through
+    /// [`mcds_soc::soc::Soc::run_kernel`]; otherwise every cycle is a
+    /// [`Device::step_into`].
+    pub fn run_into<S: CycleSink + ?Sized>(
+        &mut self,
+        max_cycles: u64,
+        stop: Option<HaltStop>,
+        sink: &mut S,
+    ) -> u64 {
+        if self.is_idle() {
+            return self.soc.run_kernel(max_cycles, stop, sink);
+        }
+        for stepped in 1..=max_cycles {
+            self.step_into(sink);
+            if stop.is_some_and(|s| s.reached(&self.soc)) {
+                return stepped;
+            }
+        }
+        max_cycles
+    }
+
     /// Steps `n` cycles, discarding events (streams into [`NullSink`]; no
     /// per-cycle records are allocated).
     pub fn run_cycles(&mut self, n: u64) {
-        // With an idle MCDS and no service processor, every per-cycle
-        // device-layer action is provably a no-op for the whole run (the
-        // idle flag cannot change inside a stepping loop), so the
-        // fast-forward runs at bare-SoC speed.
-        if self.mcds.is_idle() && self.service.is_none() {
-            self.soc.run_cycles(n);
-            return;
-        }
-        let mut sink = NullSink;
-        for _ in 0..n {
-            self.step_into(&mut sink);
-        }
+        self.run_into(n, None, &mut NullSink);
     }
 
-    /// Steps `n` cycles streaming events into `sink`. Takes the same
-    /// bare-SoC fast path as [`Device::run_cycles`] when the MCDS is idle
-    /// and no service processor is fitted; the execution kernel then
-    /// batches and skips as far as the sink's
-    /// [`CycleSink::wants_cycles`] contract allows.
+    /// Steps `n` cycles streaming events into `sink`.
     pub fn run_cycles_into<S: CycleSink + ?Sized>(&mut self, n: u64, sink: &mut S) {
-        if self.mcds.is_idle() && self.service.is_none() {
-            self.soc.run_cycles_into(n, sink);
-            return;
-        }
-        for _ in 0..n {
-            self.step_into(sink);
-        }
+        self.run_into(n, None, sink);
     }
 
     /// Steps until all cores halt or `max_cycles` pass, streaming each
@@ -929,20 +943,7 @@ impl Device {
         max_cycles: u64,
         sink: &mut S,
     ) -> u64 {
-        // Same provably-no-op argument as `run_cycles`: with an idle MCDS
-        // and no service processor the device layer adds nothing per
-        // cycle, so the run goes through the SoC execution kernel (which
-        // may batch and skip when the sink does not observe every cycle).
-        if self.mcds.is_idle() && self.service.is_none() {
-            return self.soc.run_until_halt_into(max_cycles, sink);
-        }
-        for stepped in 0..max_cycles {
-            self.step_into(sink);
-            if self.soc.cores().all(|c| c.is_halted()) {
-                return stepped + 1;
-            }
-        }
-        max_cycles
+        self.run_into(max_cycles, Some(HaltStop::All), sink)
     }
 
     /// The SoC execution kernel's mode (see [`mcds_soc::ExecMode`]): a
@@ -975,13 +976,14 @@ impl Device {
         collect.into_records()
     }
 
-    /// Lets `cycles` of simulated time pass. If the whole system is
-    /// quiescent (all cores halted, debug bus idle) the clock jumps in one
-    /// go; otherwise the device steps cycle by cycle so running cores and
-    /// the MCDS stay live.
+    /// Lets `cycles` of simulated time pass. With all cores halted and
+    /// the debug bus idle (a link wait on a stopped target) only the SoC
+    /// advances — through the execution kernel's exact skip, so timers
+    /// and counters move as under stepping — and the MCDS and service
+    /// core stay unclocked; otherwise the whole device runs.
     pub fn wait_cycles(&mut self, cycles: u64) {
         if self.soc.cores().all(|c| c.is_halted()) && !self.soc.debug_busy() {
-            self.soc.advance_clock(cycles);
+            self.soc.run_cycles(cycles);
         } else {
             self.run_cycles(cycles);
         }
@@ -1896,6 +1898,38 @@ mod fault_injection_tests {
             .unwrap();
         dev.bus_read_word(mcds_soc::memmap::SRAM_BASE)
             .expect("access completes once a core yields the bus");
+    }
+
+    /// A link wait on a halted device advances the SoC exactly as
+    /// stepping does: the armed timer keeps firing and the bus cycle
+    /// counter keeps counting, rather than the cycle counter jumping
+    /// alone.
+    #[test]
+    fn halted_wait_matches_stepping_with_an_armed_timer() {
+        let timer_halted = || {
+            let mut dev = DeviceBuilder::new(DeviceVariant::EdSideBooster)
+                .cores(1)
+                .build();
+            let program = "
+                .equ PERIOD_REG, 0xF0000008
+                .org 0x80000000
+                start:
+                    li r1, 700
+                    li r2, PERIOD_REG
+                    sw r1, 0(r2)
+                    halt
+            ";
+            dev.soc_mut().load_program(&assemble(program).unwrap());
+            dev.run_until_halt(1_000);
+            assert!(dev.soc().core(CoreId(0)).is_halted());
+            dev
+        };
+        let mut waited = timer_halted();
+        let mut stepped = timer_halted();
+        waited.wait_cycles(10_000);
+        stepped.run_cycles(10_000);
+        assert_eq!(waited.soc().cycle(), stepped.soc().cycle());
+        assert_eq!(waited.soc().save_state(), stepped.soc().save_state());
     }
 
     #[test]

@@ -254,6 +254,13 @@ impl ServiceProcessor {
         &mut self.checker
     }
 
+    /// True when [`ServiceProcessor::observe`] is a provable no-op: the
+    /// performance monitor is off and the consistency checker has no
+    /// rules. Both change only through host commands, never inside a run.
+    pub fn is_idle(&self) -> bool {
+        !self.perf.enabled && self.checker.rules.is_empty()
+    }
+
     /// Observes one cycle (monitor programs).
     pub fn observe(&mut self, cycle: u64, events: &[SocEvent]) {
         self.perf.observe(cycle, events);
@@ -403,6 +410,21 @@ mod tests {
             command_overhead_cycles(InterfaceKind::Usb11)
                 < command_overhead_cycles(InterfaceKind::Can)
         );
+    }
+
+    #[test]
+    fn idle_until_a_monitor_program_is_armed() {
+        let mut s = ServiceProcessor::new(1);
+        assert!(s.is_idle());
+        s.perf_mut().set_enabled(true);
+        assert!(!s.is_idle(), "counting perf monitor");
+        s.perf_mut().set_enabled(false);
+        s.checker_mut().add_rule(ConsistencyRule {
+            range: AddrRange::new(0x1000, 0x100),
+            min: 0,
+            max: 1,
+        });
+        assert!(!s.is_idle(), "checker with a rule");
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! 1. **Event skip.** Every component exposes a `next_tick`-style wakeup
 //!    — cores on clock dividers ([`crate::cpu::Cpu`]), the bus arbiter,
 //!    the DMA engine, the timer/trigger/IRQ fabric of the peripheral
-//!    block. The wakeups are pushed into a min-heap and the kernel jumps
-//!    sim time straight to the earliest one: a quiescent stretch costs
-//!    O(log n) instead of O(cycles). A skipped cycle is *provably* a
-//!    no-op modulo two monotonic counters (the SoC cycle and the bus
-//!    cycle counter), which the skip advances exactly as the stepped
-//!    cycles would have.
+//!    block. A min-fold over the wakeups finds the earliest one and the
+//!    kernel jumps sim time straight there: a quiescent stretch costs one
+//!    probe instead of O(cycles). A skipped cycle is *provably* a no-op
+//!    modulo two monotonic counters (the SoC cycle and the bus cycle
+//!    counter), which the skip advances exactly as the stepped cycles
+//!    would have.
 //! 2. **Batched basic blocks.** When exactly one undivided core is
 //!    running and everything else is quiet, straight-line TC-RISC code
 //!    executes whole instructions at a time: decode is cached (keyed by
@@ -31,12 +31,12 @@
 //! forms cannot reproduce — observation sinks that want every cycle,
 //! multiple active cores (bus contention), pending interrupts, debug
 //! requests, DMA activity, peripheral-register data accesses, timer
-//! boundaries — falls back to the per-cycle reference loop, which remains
+//! boundaries — falls back to the per-cycle reference step, which remains
 //! the single source of truth.
 //!
-//! The decode cache and the event heap are **derived state**: they are
-//! never serialized, never hashed, and rebuilt on demand, so snapshots
-//! and record/replay round-trips are unaffected by them. The cache is
+//! The decode cache is **derived state**: it is never serialized, never
+//! hashed, and rebuilt on demand, so snapshots and record/replay
+//! round-trips are unaffected by it. The cache is
 //! invalidated by a code-generation bump on every path that can change
 //! what a fetch returns: backdoor writes and flash programming
 //! ([`crate::soc::Soc::mapper_mut`] is conservatively invalidating),
@@ -44,9 +44,6 @@
 //! in-band via the overlay control window), and completed bus writes into
 //! any mapper-owned window (self-modifying code, DMA into emulation RAM,
 //! debug-master patches).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::bus::{Addr, AddrRange, BusRequest, MasterId, XferKind};
 use crate::event::{MemAccessInfo, StopCause};
@@ -64,24 +61,42 @@ use crate::soc::{Soc, SocTarget};
 pub enum ExecMode {
     /// The exact per-cycle reference loop, one `step` per cycle.
     PerCycle,
-    /// Event skip only: quiescent stretches jump via the wakeup heap;
-    /// every non-quiescent cycle is stepped exactly.
-    EventKernel,
-    /// Event skip plus batched basic-block execution of straight-line
-    /// code when the single-active-core preconditions hold (the default).
+    /// Quiescent-stretch skipping plus batched basic-block execution of
+    /// straight-line code when the single-active-core preconditions hold
+    /// (the default).
     #[default]
     BlockBatched,
+}
+
+/// Which halted cores end a run early (see [`crate::soc::Soc::run_kernel`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HaltStop {
+    /// Stop once every core is halted.
+    All,
+    /// Stop on the cycle any core halts.
+    Any,
+}
+
+impl HaltStop {
+    /// True if `soc`'s cores satisfy this stop condition.
+    pub fn reached(self, soc: &Soc) -> bool {
+        match self {
+            HaltStop::All => soc.cores.iter().all(|c| c.is_halted()),
+            HaltStop::Any => soc.cores.iter().any(|c| c.is_halted()),
+        }
+    }
 }
 
 /// Cycle-accounting counters for the execution kernel (derived state —
 /// never serialized or hashed; see [`crate::soc::Soc::exec_stats`]).
 ///
 /// Invariant: `stepped_cycles + skipped_cycles + block_cycles` equals the
-/// total cycles advanced through the kernel entry points.
+/// total cycles the SoC advanced, whoever advanced them (kernel runs,
+/// device-layer per-cycle loops, debug-master accesses).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Cycles advanced by the exact per-cycle machine (observed runs,
-    /// [`ExecMode::PerCycle`], and fallbacks inside the faster modes).
+    /// Cycles advanced by the exact per-cycle step ([`ExecMode::PerCycle`],
+    /// observed runs, and fallbacks inside the batched mode).
     pub stepped_cycles: u64,
     /// Cycles elided by the event skip (quiescent: provably no-op).
     pub skipped_cycles: u64,
@@ -98,7 +113,7 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Total cycles advanced through the kernel.
+    /// Total cycles advanced.
     pub fn total_cycles(&self) -> u64 {
         self.stepped_cycles + self.skipped_cycles + self.block_cycles
     }
@@ -130,18 +145,13 @@ impl DecodeSlot {
 /// Direct-mapped decode-cache size in slots (word-indexed by pc).
 const DECODE_SLOTS: usize = 4096;
 
-/// Wakeup-source tags for the event heap (ordering tiebreak only).
-const WAKE_NOW: u8 = 0;
-const WAKE_TIMER: u8 = 1;
-const WAKE_CORE: u8 = 2;
-
 /// The kernel's derived runtime state, owned by [`crate::soc::Soc`]:
-/// execution mode, statistics, the wakeup heap, the decode cache and its
-/// generation counter. None of it is architectural — it is never part of
+/// execution mode, statistics, the decode cache and its generation
+/// counter. None of it is architectural — it is never part of
 /// [`crate::soc::SocState`] or any snapshot/hash.
 pub(crate) struct ExecState {
     mode: ExecMode,
-    stats: ExecStats,
+    pub(crate) stats: ExecStats,
     /// Bumped whenever fetched code may have changed; cache entries from
     /// older generations are dead. Starts at 1 so `gen == 0` slots are
     /// never current.
@@ -154,8 +164,6 @@ pub(crate) struct ExecState {
     code_windows: Vec<AddrRange>,
     /// Lazily allocated direct-mapped decode cache.
     cache: Option<Box<[DecodeSlot]>>,
-    /// Reused min-heap of `(wake_cycle, source)` component wakeups.
-    heap: BinaryHeap<Reverse<(u64, u8)>>,
 }
 
 impl ExecState {
@@ -167,7 +175,6 @@ impl ExecState {
             flash_window,
             code_windows,
             cache: None,
-            heap: BinaryHeap::new(),
         }
     }
 
@@ -207,131 +214,101 @@ impl Soc {
         self.exec.stats = ExecStats::default();
     }
 
-    /// The single run-loop entry point wrapped by
-    /// [`Soc::run_cycles_into`] / [`Soc::run_until_halt_into`]: advances
-    /// until `target` (absolute cycle) or, with `stop_on_halt`, until
-    /// every core is halted. Returns the cycles consumed.
-    pub(crate) fn run_kernel<S: CycleSink + ?Sized>(
+    /// The single run-loop entry point: advances up to `max_cycles` or,
+    /// with a `stop`, until the halted cores satisfy it — on the exact
+    /// cycle the per-cycle machine would stop. Returns the cycles
+    /// consumed. [`Soc::run_cycles_into`] and [`Soc::run_until_halt_into`]
+    /// wrap it.
+    pub fn run_kernel<S: CycleSink + ?Sized>(
         &mut self,
-        target: u64,
-        stop_on_halt: bool,
+        max_cycles: u64,
+        stop: Option<HaltStop>,
         sink: &mut S,
     ) -> u64 {
         let start = self.cycle;
-        if sink.wants_cycles() || self.exec.mode == ExecMode::PerCycle {
-            // The exact reference loop: one step per cycle, every cycle
-            // observed. This is the only stepping loop in the crate — the
-            // faster modes below fall back to single steps of it.
-            while self.cycle < target {
-                self.step_into(sink);
-                self.exec.stats.stepped_cycles += 1;
-                if stop_on_halt && self.cores.iter().all(|c| c.is_halted()) {
-                    break;
+        let target = start.saturating_add(max_cycles);
+        let stopped = |soc: &Soc| stop.is_some_and(|s| s.reached(soc));
+        // Observed runs and `PerCycle` take the exact reference step every
+        // cycle. So does a run entered already stopped: the reference
+        // loop checks the stop after stepping, so it still steps once.
+        let exact = sink.wants_cycles() || self.exec.mode == ExecMode::PerCycle || stopped(self);
+        while self.cycle < target {
+            if !exact {
+                let wake = self.next_wake_cycle();
+                if wake > self.cycle {
+                    // Nothing can change before `wake` (no core can halt
+                    // either): jump straight there.
+                    let skip = wake.min(target) - self.cycle;
+                    self.bus.skip_quiet_cycles(skip);
+                    self.cycle += skip;
+                    self.exec.stats.skipped_cycles += skip;
+                    continue;
                 }
             }
-            return self.cycle - start;
-        }
-        let block = self.exec.mode == ExecMode::BlockBatched;
-        while self.cycle < target {
-            if stop_on_halt && self.cores.iter().all(|c| c.is_halted()) {
-                if self.cycle == start {
-                    // Parity with the per-cycle loop, which always steps
-                    // once before its halt check.
-                    self.step_into(sink);
-                    self.exec.stats.stepped_cycles += 1;
-                }
+            let batched = !exact && self.block_core().is_some_and(|c| self.run_block(c, target));
+            if !batched {
+                // Something is live this cycle (or the block layer could
+                // not make progress): step it exactly.
+                self.step_into(sink);
+            }
+            if stopped(self) {
                 break;
             }
-            let wake = self.next_wake_cycle();
-            if wake > self.cycle {
-                // Nothing can change before `wake`: jump straight there.
-                let skip = wake.min(target) - self.cycle;
-                self.bus.skip_quiet_cycles(skip);
-                self.cycle += skip;
-                self.exec.stats.skipped_cycles += skip;
-                continue;
-            }
-            if block {
-                if let Some(core) = self.block_core() {
-                    if self.run_block(core, target) {
-                        continue;
-                    }
-                }
-            }
-            // Something is live this cycle (or the block layer could not
-            // make progress): step it exactly.
-            self.step_into(sink);
-            self.exec.stats.stepped_cycles += 1;
         }
         self.cycle - start
     }
 
     /// The earliest cycle at or after `now` at which stepping can change
-    /// architectural state, via the component-wakeup min-heap;
-    /// `u64::MAX` if nothing is ever going to happen.
+    /// architectural state — a min-fold over the component wakeups that
+    /// returns `now` as soon as any source is live; `u64::MAX` if nothing
+    /// is ever going to happen.
     ///
-    /// Sources: the bus (any queued/active request, or a set `last_xact`
-    /// probe the next step would clear — both hashed state), the DMA
-    /// engine (any non-idle phase, or a latched start command), external
-    /// trigger-in edges not yet surfaced, cores whose IRQ lines are out
-    /// of sync with the interrupt controller (the per-cycle machine
-    /// re-drives them every cycle), the armed timer's next fire, and
-    /// each runnable core's next clock edge.
-    fn next_wake_cycle(&mut self) -> u64 {
+    /// Sources: each runnable core's next clock edge, the bus (any
+    /// queued/active request, or a set `last_xact` probe the next step
+    /// would clear — both hashed state), the DMA engine (any non-idle
+    /// phase, or a latched start command), external trigger-in edges not
+    /// yet surfaced, cores whose IRQ lines are out of sync with the
+    /// interrupt controller (the per-cycle machine re-drives them every
+    /// cycle), and the armed timer's next fire.
+    fn next_wake_cycle(&self) -> u64 {
         let now = self.cycle;
-        let bus_live = !self.bus.is_quiet() || self.bus.has_last_xact();
-        let dma_live = self.dma.as_ref().is_some_and(|d| !d.is_idle());
-        let periph = self.periph();
-        let dma_cmd = self.dma.is_some() && periph.dma_start_latched();
-        let trig_edge = periph.trigger_in() != self.prev_trig_in;
-        let irq = periph.irq_pending();
-        let timer = periph.timer_wake();
-        let irq_unsync = self.cores.iter().any(|c| c.irq_line() != irq);
-
-        let heap = &mut self.exec.heap;
-        heap.clear();
-        if bus_live || dma_live || dma_cmd || trig_edge || irq_unsync {
-            heap.push(Reverse((now, WAKE_NOW)));
-        }
-        if let Some(fire) = timer {
-            heap.push(Reverse((fire.max(now), WAKE_TIMER)));
-        }
+        let mut wake = u64::MAX;
         for core in &self.cores {
-            if let Some(wake) = core.next_wake(now) {
-                heap.push(Reverse((wake, WAKE_CORE)));
+            match core.next_wake(now) {
+                Some(w) if w == now => return now,
+                Some(w) => wake = wake.min(w),
+                None => {}
             }
         }
-        heap.peek().map_or(u64::MAX, |Reverse((cycle, _))| *cycle)
+        if !self.bus.is_quiet()
+            || self.bus.has_last_xact()
+            || self.dma.as_ref().is_some_and(|d| !d.is_idle())
+        {
+            return now;
+        }
+        let periph = self.periph();
+        let irq = periph.irq_pending();
+        if (self.dma.is_some() && periph.dma_start_latched())
+            || periph.trigger_in() != self.prev_trig_in
+            || self.cores.iter().any(|c| c.irq_line() != irq)
+        {
+            return now;
+        }
+        match periph.timer_wake() {
+            Some(fire) => wake.min(fire.max(now)),
+            None => wake,
+        }
     }
 
     /// If the batched block layer may run right now, the index of the
     /// single core it would drive; `None` demands per-cycle stepping.
     ///
-    /// Preconditions (all checked): bus idle, DMA idle with no latched
-    /// command, no pending trigger-in edge, every core's IRQ line in sync
-    /// with the interrupt controller, the timer not due, and exactly one
-    /// runnable core which is itself at a clean instruction boundary
-    /// ([`crate::cpu::Cpu::block_ready`]).
+    /// Preconditions (all checked, cheapest first): exactly one runnable
+    /// core, itself at a clean instruction boundary
+    /// ([`crate::cpu::Cpu::block_ready`]); bus idle; DMA idle with no
+    /// latched command; no pending trigger-in edge; every core's IRQ line
+    /// in sync with the interrupt controller; the timer not due.
     fn block_core(&self) -> Option<usize> {
-        if !self.bus.is_quiet() {
-            return None;
-        }
-        if let Some(dma) = &self.dma {
-            if !dma.is_idle() || self.periph().dma_start_latched() {
-                return None;
-            }
-        }
-        let periph = self.periph();
-        if periph.trigger_in() != self.prev_trig_in {
-            return None;
-        }
-        let irq = periph.irq_pending();
-        if self.cores.iter().any(|c| c.irq_line() != irq) {
-            return None;
-        }
-        if periph.timer_wake().is_some_and(|fire| fire <= self.cycle) {
-            return None;
-        }
         let mut runnable = None;
         for (i, core) in self.cores.iter().enumerate() {
             if core.is_halted() || core.is_suspended() {
@@ -345,7 +322,23 @@ impl Soc {
             runnable = Some(i);
         }
         let i = runnable?;
-        self.cores[i].block_ready().then_some(i)
+        if !self.cores[i].block_ready() || !self.bus.is_quiet() {
+            return None;
+        }
+        let periph = self.periph();
+        if let Some(dma) = &self.dma {
+            if !dma.is_idle() || periph.dma_start_latched() {
+                return None;
+            }
+        }
+        let irq = periph.irq_pending();
+        if periph.trigger_in() != self.prev_trig_in
+            || self.cores.iter().any(|c| c.irq_line() != irq)
+            || periph.timer_wake().is_some_and(|fire| fire <= self.cycle)
+        {
+            return None;
+        }
+        Some(i)
     }
 
     /// Executes a batched basic block on `cores[core_idx]`, consuming
@@ -612,11 +605,7 @@ mod tests {
     use crate::isa::Reg;
     use crate::soc::{memmap, Soc, SocBuilder, SocState};
 
-    const MODES: [ExecMode; 3] = [
-        ExecMode::PerCycle,
-        ExecMode::EventKernel,
-        ExecMode::BlockBatched,
-    ];
+    const MODES: [ExecMode; 2] = [ExecMode::PerCycle, ExecMode::BlockBatched];
 
     /// Runs `soc` for `total` cycles in uneven quanta (so blocks are cut
     /// at awkward boundaries) and returns the final architectural state.
@@ -634,16 +623,14 @@ mod tests {
         soc.save_state()
     }
 
-    /// Asserts that all three execution modes land on bit-identical
+    /// Asserts that both execution modes land on bit-identical
     /// architectural state after `total` cycles of `build()`'s SoC.
-    fn assert_tri_modal(build: impl Fn() -> Soc, total: u64) -> SocState {
+    fn assert_mode_identical(build: impl Fn() -> Soc, total: u64) -> SocState {
         let mut reference = build();
         let per_cycle = run_sliced(&mut reference, ExecMode::PerCycle, total);
-        for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-            let mut soc = build();
-            let state = run_sliced(&mut soc, mode, total);
-            assert_eq!(state, per_cycle, "{mode:?} diverged from PerCycle");
-        }
+        let mut soc = build();
+        let batched = run_sliced(&mut soc, ExecMode::BlockBatched, total);
+        assert_eq!(batched, per_cycle, "BlockBatched diverged from PerCycle");
         per_cycle
     }
 
@@ -654,7 +641,7 @@ mod tests {
     }
 
     #[test]
-    fn straight_line_loop_is_tri_modal_identical() {
+    fn straight_line_loop_is_mode_identical() {
         let src = "
             .org 0x80000000
             start:
@@ -667,11 +654,11 @@ mod tests {
                 bne r1, r0, loop
                 halt
         ";
-        assert_tri_modal(|| single_core_soc(src), 30_000);
+        assert_mode_identical(|| single_core_soc(src), 30_000);
     }
 
     #[test]
-    fn memory_and_muldiv_loop_is_tri_modal_identical() {
+    fn memory_and_muldiv_loop_is_mode_identical() {
         let src = "
             .org 0x80000000
             start:
@@ -688,11 +675,11 @@ mod tests {
                 bne r1, r0, loop
                 halt
         ";
-        assert_tri_modal(|| single_core_soc(src), 30_000);
+        assert_mode_identical(|| single_core_soc(src), 30_000);
     }
 
     #[test]
-    fn timer_interrupt_run_is_tri_modal_identical() {
+    fn timer_interrupt_run_is_mode_identical() {
         let src = format!(
             "
             .equ PERIOD_REG, 0xF0000008
@@ -720,7 +707,7 @@ mod tests {
             ",
             vector = DEFAULT_IRQ_VECTOR,
         );
-        let state = assert_tri_modal(|| single_core_soc(&src), 25_000);
+        let state = assert_mode_identical(|| single_core_soc(&src), 25_000);
         drop(state);
         // The run actually took interrupts.
         let mut soc = single_core_soc(&src);
@@ -729,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn dma_run_is_tri_modal_identical() {
+    fn dma_run_is_mode_identical() {
         let src = "
             .equ DMA_SRC,  0xF0000400
             .org 0x80000000
@@ -756,11 +743,11 @@ mod tests {
             soc.load_program(&assemble(src).expect("assembles"));
             soc
         };
-        assert_tri_modal(build, 20_000);
+        assert_mode_identical(build, 20_000);
     }
 
     #[test]
-    fn two_cores_and_clock_divider_are_tri_modal_identical() {
+    fn two_cores_and_clock_divider_are_mode_identical() {
         let src = "
             .org 0x80000000
             start:
@@ -787,13 +774,12 @@ mod tests {
             soc.load_program(&assemble(src).expect("assembles"));
             soc
         };
-        assert_tri_modal(build, 30_000);
+        assert_mode_identical(build, 30_000);
     }
 
     #[test]
     fn quiescent_stretch_is_skipped_in_constant_events() {
         let mut soc = single_core_soc(".org 0x80000000\nhalt");
-        soc.set_exec_mode(ExecMode::EventKernel);
         soc.run_until_halt(100);
         let before = soc.exec_stats().skipped_cycles;
         soc.run_cycles(1_000_000);
@@ -863,7 +849,56 @@ mod tests {
             results.push((cycle_at_halt, soc.save_state()));
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
+    }
+
+    #[test]
+    fn any_halt_stop_lands_on_the_exact_cycle() {
+        // Core 1 counts down and halts while core 0 spins on; a lone
+        // core halts out of a batched block.
+        let two_core = "
+            .org 0x80000000
+            start:
+                mfsr r1, coreid
+                bne r1, r0, short
+            spin:
+                addi r2, r2, 1
+                j spin
+            short:
+                li r3, 40
+            count:
+                addi r3, r3, -1
+                bne r3, r0, count
+                halt
+        ";
+        let one_core = "
+            .org 0x80000000
+            start:
+                li r3, 300
+            count:
+                addi r3, r3, -1
+                bne r3, r0, count
+                halt
+        ";
+        for (src, cores) in [(two_core, 2), (one_core, 1)] {
+            let build = || {
+                let mut soc = SocBuilder::new().cores(cores).build();
+                soc.load_program(&assemble(src).expect("assembles"));
+                soc
+            };
+            let mut reference = build();
+            let mut stepped = 0;
+            while !reference.cores().any(|c| c.is_halted()) {
+                reference.step();
+                stepped += 1;
+            }
+            for mode in MODES {
+                let mut soc = build();
+                soc.set_exec_mode(mode);
+                let ran = soc.run_kernel(100_000, Some(HaltStop::Any), &mut crate::sink::NullSink);
+                assert_eq!(ran, stepped, "{cores} core(s), {mode:?}");
+                assert_eq!(soc.save_state(), reference.save_state(), "{mode:?}");
+            }
+        }
     }
 
     /// Satellite regression: a debug-master write into the emulation-RAM
@@ -929,9 +964,7 @@ mod tests {
             soc.save_state()
         };
         let per_cycle = run(ExecMode::PerCycle);
-        for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-            assert_eq!(run(mode), per_cycle, "{mode:?}");
-        }
+        assert_eq!(run(ExecMode::BlockBatched), per_cycle);
     }
 
     /// Satellite regression: a backdoor (tooling) write over code
@@ -1042,9 +1075,7 @@ mod tests {
             soc.save_state()
         };
         let per_cycle = run(ExecMode::PerCycle);
-        for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-            assert_eq!(run(mode), per_cycle, "{mode:?}");
-        }
+        assert_eq!(run(ExecMode::BlockBatched), per_cycle);
     }
 
     /// Satellite regression: a mid-run calibration page swap switches the
@@ -1108,12 +1139,10 @@ mod tests {
             soc.save_state()
         };
         let per_cycle = run(ExecMode::PerCycle);
-        for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-            assert_eq!(run(mode), per_cycle, "{mode:?}");
-        }
+        assert_eq!(run(ExecMode::BlockBatched), per_cycle);
     }
 
-    /// The decode cache and event heap are derived state: a snapshot
+    /// The decode cache is derived state: a snapshot
     /// captured mid-run with a warm cache restores onto a fresh SoC and
     /// continues identically in any mode.
     #[test]
@@ -1171,5 +1200,9 @@ mod tests {
             total,
             "{stats:?}"
         );
+        // Cycles stepped outside the kernel count too.
+        soc.step();
+        soc.debug_read(memmap::SRAM_BASE, MemWidth::Word).unwrap();
+        assert_eq!(soc.exec_stats().total_cycles(), soc.cycle());
     }
 }

@@ -25,10 +25,10 @@
 //! * [`soc`] — the assembled device and its per-cycle event stream;
 //! * [`sink`] — the push-based streaming observation pipeline
 //!   ([`CycleSink`] and its combinators) that `Soc::step_into` feeds;
-//! * [`kernel`] — the discrete-event execution kernel: a min-heap of
-//!   per-component wakeups that skips quiescent stretches in O(log n),
+//! * [`kernel`] — the discrete-event execution kernel: a min-fold over
+//!   per-component wakeups that skips quiescent stretches in one jump,
 //!   plus a batched basic-block layer with cached decode for
-//!   straight-line runs ([`ExecMode`], [`ExecStats`]). Bit-identical to
+//!   straight-line runs ([`ExecMode`], [`ExecStats`], [`HaltStop`]). Bit-identical to
 //!   per-cycle stepping; falls back to it whenever observation demands.
 //!
 //! ## Example
@@ -76,6 +76,6 @@ pub use bus::{
 pub use cpu::{CoreConfig, Cpu, RunState};
 pub use event::{CoreId, CycleRecord, MemAccessInfo, RetireEvent, SocEvent, StopCause};
 pub use isa::{Instr, MemWidth, Reg};
-pub use kernel::{ExecMode, ExecStats};
+pub use kernel::{ExecMode, ExecStats, HaltStop};
 pub use sink::{Collect, CountSink, CycleSink, FanOut, NullSink};
 pub use soc::{memmap, BackdoorError, Soc, SocBuilder};

@@ -14,6 +14,7 @@ use crate::bus::{
 use crate::cpu::{CoreConfig, Cpu, CpuState};
 use crate::event::{CoreId, CycleRecord, SocEvent};
 use crate::isa::MemWidth;
+use crate::kernel::HaltStop;
 use crate::mem::{EmulationRam, Flash, SegmentRole, Sram};
 use crate::overlay::{OverlayMapper, OverlayState};
 use crate::periph::{PeriphBlock, PeriphState};
@@ -558,7 +559,7 @@ pub struct Soc {
     /// Reused per-cycle event buffer for the streaming hot path. Always
     /// empty between steps; never serialized (it is pure scratch).
     pub(crate) scratch: Vec<SocEvent>,
-    /// Execution-kernel state: mode, stats, event heap, decode cache and
+    /// Execution-kernel state: mode, stats, decode cache and
     /// its generation counter. Derived state — never serialized, never
     /// hashed; [`SocState`] round-trips are bit-identical regardless of it.
     pub(crate) exec: crate::kernel::ExecState,
@@ -922,15 +923,6 @@ impl Soc {
         }
     }
 
-    /// Lets `cycles` of wall time pass without simulating them: the cycle
-    /// counter jumps forward. Only meaningful while the system is quiescent
-    /// (e.g. during flash reprogramming with all cores halted); callers are
-    /// responsible for checking that, since any in-flight work would be
-    /// frozen rather than advanced.
-    pub fn advance_clock(&mut self, cycles: u64) {
-        self.cycle += cycles;
-    }
-
     /// Advances the SoC by one cycle, filling the internal scratch buffer
     /// with the cycle's observable events, and returns the stepped cycle
     /// number plus a view of those events.
@@ -1014,6 +1006,7 @@ impl Soc {
             }
         }
         self.cycle += 1;
+        self.exec.stats.stepped_cycles += 1;
         self.scratch = events;
         (now, &self.scratch)
     }
@@ -1055,8 +1048,7 @@ impl Soc {
     /// stepping; otherwise the configured [`crate::kernel::ExecMode`]
     /// decides how time advances.
     pub fn run_cycles_into<S: CycleSink + ?Sized>(&mut self, n: u64, sink: &mut S) {
-        let target = self.cycle.saturating_add(n);
-        self.run_kernel(target, false, sink);
+        self.run_kernel(n, None, sink);
     }
 
     /// Advances until every core is halted or `max_cycles` elapse,
@@ -1069,8 +1061,7 @@ impl Soc {
         max_cycles: u64,
         sink: &mut S,
     ) -> u64 {
-        let target = self.cycle.saturating_add(max_cycles);
-        self.run_kernel(target, true, sink)
+        self.run_kernel(max_cycles, Some(HaltStop::All), sink)
     }
 
     /// Steps until every core is halted or `max_cycles` elapse; returns the

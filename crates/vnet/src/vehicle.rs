@@ -405,8 +405,8 @@ impl Vehicle {
             // One cycle through the execution kernel: lockstep with the
             // CAN fabric is preserved (the fabric samples every cycle),
             // but no per-cycle record is allocated and a quiescent ECU
-            // (halted cores, idle MCDS) costs one heap probe instead of a
-            // full stepped cycle.
+            // (halted cores, idle MCDS and service core) costs one wakeup
+            // probe instead of a full stepped cycle.
             ecu.device.run_cycles(1);
             if let Some(daq) = &mut ecu.daq {
                 daq.slave_mut().sample_tick(&mut ecu.device);

@@ -887,8 +887,9 @@ mod recovery_tests {
     use mcds_soc::asm::assemble;
     use mcds_soc::soc::memmap;
 
-    /// A halted device: `wait_cycles` jumps the clock instead of stepping,
-    /// so the multi-millisecond timeout/backoff waits cost nothing in host
+    /// A halted device: `wait_cycles` advances it through the execution
+    /// kernel's quiescent skip instead of stepping, so the
+    /// multi-millisecond timeout/backoff waits cost next to nothing in host
     /// time. The XCP slave serves memory commands regardless of core state.
     fn quiescent_device() -> Device {
         let mut dev = DeviceBuilder::new(DeviceVariant::EdSideBooster)

@@ -47,13 +47,15 @@ test -s target/analysis/t12_repro_race.json \
   || { echo "missing t12_repro_race.json"; exit 1; }
 
 # Farm smoke: the multi-session debug service (asserted in-bench: every
-# churned session revives bit-identical over the TCP wire path; the
-# 1->4-worker >=2x scaling assert arms when the host has >=4 CPUs). The
+# churned session revives bit-identical over the TCP wire path; untraced
+# sessions run batched, farm_cycles_batched_total > 0; the 1->4-worker
+# >=2x scaling assert arms when the host has >=4 CPUs). The
 # farm_* metric namespace and the fleet health table must land in the
 # artifacts.
 cargo run --release -q -p mcds-bench --bin t13_farm -- --smoke
 for metric in farm_sessions_created_total farm_sessions_evicted_total \
               farm_sessions_revived_total farm_cycles_total \
+              farm_cycles_batched_total \
               farm_requests_total farm_request_latency_ns; do
   grep -q "$metric" target/analysis/t13_farm_telemetry.prom \
     || { echo "missing $metric in t13_farm_telemetry.prom"; exit 1; }
@@ -97,10 +99,9 @@ grep -q '"corr"' target/analysis/t15_journal.json \
 
 # Execution-kernel smoke: the discrete-event kernel and batched
 # basic-block execution (asserted in-bench: block-batched >=5x per-cycle
-# on straight-line code, the event kernel >=10x on a quiescent timer-wait
-# workload, state hashes AND decoded traces bit-identical to per-cycle
-# stepping across all modes). The t16_* metric set must land in the
-# Prometheus artifact.
+# on straight-line code and >=10x on a quiescent timer-wait workload,
+# state hashes AND decoded traces bit-identical to per-cycle stepping).
+# The t16_* metric set must land in the Prometheus artifact.
 cargo run --release -q -p mcds-bench --bin t16_kernel -- --smoke
 for metric in t16_block_cycles_total t16_skipped_cycles_total \
               t16_line_speedup t16_quiet_speedup t16_decode_hit_rate; do

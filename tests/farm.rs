@@ -265,13 +265,14 @@ fn vehicle_groups_render_in_fleet_health() {
 }
 
 /// Farm revival over the execution kernel: a session running batched
-/// (block/event-kernel) execution, evicted to disk and revived, must be
-/// bit-identical — state hash and decoded trace — to a per-cycle control
-/// session that never left memory. Proves the decode cache and event
-/// heap never leak into the suspended snapshot.
+/// execution, evicted to disk and revived, must be bit-identical — state
+/// hash and decoded trace — to a per-cycle control session that never
+/// left memory. Proves the decode cache never leaks into the suspended
+/// snapshot. The untraced pair is the one the kernel actually batches,
+/// which the farm's kernel counters must show.
 #[test]
 fn revived_batched_session_matches_per_cycle_control() {
-    let (_server, addr) = spawn_server("kernel");
+    let (server, addr) = spawn_server("kernel");
     let mut c = FarmClient::connect(addr).expect("connect");
     let control = c.create("engine", true).expect("control");
     let batched = c.create("engine", true).expect("batched");
@@ -301,13 +302,39 @@ fn revived_batched_session_matches_per_cycle_control() {
         "batched + evict/revive must match the per-cycle control"
     );
     assert_eq!(trace_c, trace_b, "decoded traces must match");
+    let traced_batched = server.farm().stats().cycles_batched_total;
 
-    // An unknown mode string is a typed params error.
-    let err = c
-        .call(
+    // Untraced: the idle device (MCDS and service core) enters the kernel.
+    let plain_c = c.create("engine", false).expect("plain control");
+    let plain_b = c.create("engine", false).expect("plain batched");
+    for (id, mode) in [(plain_c, "per_cycle"), (plain_b, "block_batched")] {
+        c.call(
             "session.set_exec_mode",
-            obj(vec![("session", vint(control)), ("mode", vstr("warp"))]),
+            obj(vec![("session", vint(id)), ("mode", vstr(mode))]),
         )
-        .expect_err("bad mode");
-    assert_eq!(rpc_code(err), proto::ERR_INVALID_PARAMS);
+        .expect("plain mode");
+        c.run(id, 200_000).expect("plain run");
+    }
+    assert_eq!(
+        c.state_hash(plain_c).expect("hash"),
+        c.state_hash(plain_b).expect("hash"),
+        "untraced batched must match the per-cycle control"
+    );
+    let stats = server.farm().stats();
+    assert!(
+        stats.cycles_batched_total > traced_batched,
+        "untraced sessions must run batched: {stats:?}"
+    );
+
+    // An unknown mode string is a typed params error — including the
+    // retired event-kernel mode.
+    for mode in ["warp", "event_kernel"] {
+        let err = c
+            .call(
+                "session.set_exec_mode",
+                obj(vec![("session", vint(control)), ("mode", vstr(mode))]),
+            )
+            .expect_err("bad mode");
+        assert_eq!(rpc_code(err), proto::ERR_INVALID_PARAMS);
+    }
 }

@@ -282,10 +282,11 @@ fn drive_schedule(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The execution-kernel tri-modal equivalence: per-cycle,
-    /// event-kernel and block-batched runs of the same workload under
-    /// the same quantum slicing and stimulus schedule land on the same
-    /// cycle with bit-identical device state and snapshot hashes.
+    /// The execution-kernel equivalence: per-cycle and block-batched
+    /// runs of the same workload under the same quantum slicing and
+    /// stimulus schedule land on the same cycle with bit-identical device
+    /// state and snapshot hashes — and in both, the kernel counters
+    /// account every advanced cycle exactly once.
     #[test]
     fn execution_kernel_modes_are_bit_identical(
         iterations in 1u32..200,
@@ -302,22 +303,22 @@ proptest! {
             drive_schedule(&mut dev, &quanta, &trig_pokes, &debug_reads);
             (
                 dev.soc().cycle(),
+                dev.exec_stats().total_cycles(),
                 device_state_hash(&dev),
                 SocSnapshot::capture(&dev).state_hash(),
             )
         };
         let per_cycle = run(mcds_soc::ExecMode::PerCycle);
-        let event = run(mcds_soc::ExecMode::EventKernel);
         let block = run(mcds_soc::ExecMode::BlockBatched);
-        prop_assert_eq!(per_cycle, event);
+        prop_assert_eq!(per_cycle.0, per_cycle.1);
         prop_assert_eq!(per_cycle, block);
     }
 
     /// The same equivalence for a *traced* device: the MCDS is live, so
-    /// the device-layer idle gate must keep every mode on the exact
+    /// the device-layer idle gate must keep both modes on the exact
     /// per-cycle path — same sink bytes, same decoded trace, same
-    /// hashes. Guards against the batching kernel engaging where
-    /// observation could be lost.
+    /// hashes, every cycle counted as stepped. Guards against the
+    /// batching kernel engaging where observation could be lost.
     #[test]
     fn execution_kernel_modes_preserve_traced_runs(
         iterations in 1u32..80,
@@ -331,6 +332,9 @@ proptest! {
             for &q in &quanta {
                 dev.run_cycles(q);
             }
+            let stats = *dev.exec_stats();
+            assert_eq!(stats.stepped_cycles, dev.soc().cycle(), "{stats:?}");
+            assert_eq!(stats.total_cycles(), dev.soc().cycle(), "{stats:?}");
             let bytes = sink_bytes(&dev);
             let msgs = StreamDecoder::new(bytes.clone())
                 .collect_all()
@@ -338,16 +342,14 @@ proptest! {
             (bytes, msgs, device_state_hash(&dev))
         };
         let per_cycle = run(mcds_soc::ExecMode::PerCycle);
-        let event = run(mcds_soc::ExecMode::EventKernel);
         let block = run(mcds_soc::ExecMode::BlockBatched);
-        prop_assert_eq!(&per_cycle, &event);
         prop_assert_eq!(&per_cycle, &block);
     }
 
     /// Snapshot round-trips cross execution modes: state captured from a
     /// batched run restores into a per-cycle continuation (and vice
-    /// versa) with bit-identical results — the decode cache and event
-    /// heap are derived state, invisible to `SocSnapshot`.
+    /// versa) with bit-identical results — the decode cache is derived
+    /// state, invisible to `SocSnapshot`.
     #[test]
     fn snapshots_cross_execution_modes(
         iterations in 1u32..150,
@@ -361,6 +363,7 @@ proptest! {
         let mut reference = kernel_device(&src);
         reference.set_exec_mode(mcds_soc::ExecMode::PerCycle);
         reference.run_cycles(split + tail);
+        prop_assert_eq!(reference.exec_stats().total_cycles(), split + tail);
         let want = device_state_hash(&reference);
 
         // Batched first half → snapshot → restore → per-cycle second
@@ -377,6 +380,7 @@ proptest! {
             snap.restore_into(&mut cold);
             cold.set_exec_mode(second);
             cold.run_cycles(tail);
+            prop_assert_eq!(cold.exec_stats().total_cycles(), tail);
             prop_assert_eq!(device_state_hash(&cold), want);
         }
     }
