@@ -33,7 +33,9 @@ fn run(variant: DeviceVariant, mcds: McdsConfig) -> (Vec<PortWrite>, u64, u64) {
         .soc()
         .periph()
         .output_history(engine::INJECTION_PORT)
-        .to_vec();
+        .iter()
+        .copied()
+        .collect();
     let retired = dev.soc().core(mcds_soc::CoreId(0)).retired();
     let stored = dev.sink().message_count();
     (history, retired, stored)

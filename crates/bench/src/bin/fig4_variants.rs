@@ -36,7 +36,7 @@ fn behaviour_fingerprint(variant: DeviceVariant) -> (u64, u64, u64) {
     (
         dev.soc().core(mcds_soc::CoreId(0)).retired(),
         hist.iter().map(|w| w.value as u64).sum(),
-        hist.last().map(|w| w.cycle).unwrap_or(0),
+        hist.back().map(|w| w.cycle).unwrap_or(0),
     )
 }
 

@@ -82,11 +82,13 @@ struct Outcome {
 }
 
 fn analyse(dev: &Device) -> Outcome {
-    let history = dev
+    let history: Vec<PortWrite> = dev
         .soc()
         .periph()
         .output_history(engine::INJECTION_PORT)
-        .to_vec();
+        .iter()
+        .copied()
+        .collect();
     let max_gap = history
         .windows(2)
         .map(|w| w[1].cycle - w[0].cycle)

@@ -27,13 +27,13 @@
 //!   and the T13 bench.
 //!
 //! Everything observes into [`mcds_telemetry`] under the `farm_*` metric
-//! namespace and the [`mcds_telemetry::Subsystem::Farm`] span lane;
+//! namespace and the [`mcds_telemetry::Subsystem::Farm`] span counters;
 //! telemetry stays strictly outside the determinism boundary.
 //!
 //! Cross-layer causal tracing rides on [`mcds_obs`]: every request mints
 //! a correlation id in [`server`] dispatch, the [`scheduler`] stamps it
-//! on each quantum (plus a cycle↔wall anchor at every quantum boundary)
-//! and hands the journal to the [`mcds_host::Session`] for the device
+//! on each quantum's one `SchedulerQuantum` record (which is also the
+//! timeline's cycle↔wall anchor) and hands the journal to the [`mcds_host::Session`] for the device
 //! slice, so one `session.run` leaves a correlated trail through three
 //! layers. `obs.journal` returns the ring's tail, `obs.timeline` the
 //! unified Perfetto timeline, `obs.latency` per-method quantiles, and

@@ -39,7 +39,7 @@ struct RunJob {
     remaining: u64,
     ran: u64,
     /// Correlation id of the farm request this run belongs to; stamped on
-    /// every quantum/anchor/device event it produces.
+    /// every quantum and device event it produces.
     corr: Option<u64>,
     done: mpsc::Sender<RunOutcome>,
 }
@@ -179,8 +179,9 @@ fn worker_loop(queue: &Queue, farm: &Farm) {
         let kernel_after = *session.exec_stats();
         let end_cycle = session.cycles_run();
         farm.telemetry()
-            .spans()
-            .record(Subsystem::Farm, start_cycle, end_cycle, wall_ns);
+            .span(Subsystem::Farm, start_cycle, end_cycle, wall_ns);
+        // The quantum record, stamped at `end_cycle`, doubles as the
+        // cycle↔wall anchor the unified timeline aligns sim-cycle tracks with.
         farm.journal().record(
             job.corr,
             Some(end_cycle),
@@ -189,16 +190,6 @@ fn worker_loop(queue: &Queue, farm: &Farm) {
                 start_cycle,
                 end_cycle,
                 wall_ns,
-            },
-        );
-        // The quantum boundary is the cycle↔wall anchor the unified
-        // timeline aligns sim-cycle tracks with.
-        farm.journal().record(
-            job.corr,
-            Some(end_cycle),
-            mcds_obs::ObsEvent::CycleAnchor {
-                session: job.session,
-                cycle: end_cycle,
             },
         );
         // Quantum accounting: how much of this slice the execution kernel

@@ -276,7 +276,7 @@ impl TraceSession {
         let drain_t0 = dbg.device().telemetry().map(|_| Instant::now());
         drain_residual_trace(dbg.device_mut());
         if let (Some(t0), Some(tel)) = (drain_t0, dbg.device().telemetry()) {
-            tel.spans().record(
+            tel.span(
                 Subsystem::FifoDrain,
                 now,
                 now,
@@ -306,7 +306,7 @@ impl TraceSession {
             (messages, ResyncReport::default())
         };
         if let (Some(t0), Some(tel)) = (decode_t0, dbg.device().telemetry()) {
-            tel.spans().record(
+            tel.span(
                 Subsystem::TraceDecode,
                 decode_cycle,
                 decode_cycle,

@@ -62,7 +62,10 @@ pub enum ObsEvent {
         /// End-to-end dispatch latency in nanoseconds.
         latency_ns: u64,
     },
-    /// A scheduler worker ran one quantum of a session.
+    /// A scheduler worker ran one quantum of a session. The record is
+    /// written when the quantum ends, so it also anchors the session's
+    /// `end_cycle` at the record's `wall_ns`: the timeline uses these
+    /// anchors to place sim-cycle tracks on the wall clock.
     SchedulerQuantum {
         /// Session id.
         session: u64,
@@ -72,16 +75,6 @@ pub enum ObsEvent {
         end_cycle: u64,
         /// Wall time the quantum took, in nanoseconds.
         wall_ns: u64,
-    },
-    /// A cycle↔wall anchor: device cycle `cycle` of `session` was
-    /// observed at this record's `wall_ns`. Emitted at every quantum
-    /// boundary; the timeline uses these to place sim-cycle tracks on
-    /// the wall clock.
-    CycleAnchor {
-        /// Session id.
-        session: u64,
-        /// The anchored device cycle.
-        cycle: u64,
     },
     /// A `host::Session` executed a run slice on the device.
     DeviceRun {
@@ -137,7 +130,6 @@ impl ObsEvent {
         match self {
             ObsEvent::RpcDispatch { .. } | ObsEvent::RpcComplete { .. } => "farm",
             ObsEvent::SchedulerQuantum { .. }
-            | ObsEvent::CycleAnchor { .. }
             | ObsEvent::SessionEvicted { .. }
             | ObsEvent::SessionRevived { .. } => "scheduler",
             ObsEvent::DeviceRun { .. } => "device",
@@ -152,7 +144,6 @@ impl ObsEvent {
             ObsEvent::RpcDispatch { .. } => "RpcDispatch",
             ObsEvent::RpcComplete { .. } => "RpcComplete",
             ObsEvent::SchedulerQuantum { .. } => "SchedulerQuantum",
-            ObsEvent::CycleAnchor { .. } => "CycleAnchor",
             ObsEvent::DeviceRun { .. } => "DeviceRun",
             ObsEvent::SessionEvicted { .. } => "SessionEvicted",
             ObsEvent::SessionRevived { .. } => "SessionRevived",

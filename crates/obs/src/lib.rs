@@ -9,8 +9,8 @@
 //! through dispatch → scheduler quanta → `host::Session` runs → vnet
 //! fabric events, and a **unified Perfetto timeline**
 //! ([`unified_timeline`]) that merges the wall-clock farm tracks with
-//! the sim-cycle device tracks via the cycle↔wall anchors emitted at
-//! quantum boundaries.
+//! the sim-cycle device tracks via the cycle↔wall anchor each scheduler
+//! quantum record carries.
 //!
 //! Three invariants:
 //!

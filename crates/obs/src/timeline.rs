@@ -5,9 +5,10 @@
 //! with **two processes**: pid 1 carries the wall-clock farm tracks (RPC
 //! dispatch, scheduler quanta, registry evictions, campaign phases) and
 //! pid 2 carries the sim-cycle device/vnet tracks. The two clock domains
-//! are merged through the [`ObsEvent::CycleAnchor`] records the
-//! scheduler emits at every quantum boundary: a device event at cycle
-//! `c` of session `s` is placed at the wall time of the nearest anchor
+//! are merged through the [`ObsEvent::SchedulerQuantum`] record the
+//! scheduler writes as each quantum ends, which anchors the quantum's
+//! `end_cycle` at the record's wall time: a device event at cycle `c` of
+//! session `s` is placed at the wall time of the nearest anchor
 //! at-or-before `c`, offset by the modelled 150 MHz clock — so device
 //! slices line up under the exact quantum that executed them.
 
@@ -104,29 +105,28 @@ pub fn unified_timeline(records: &[JournalRecord]) -> ChromeTrace {
     let mut corr_session: Vec<(u64, u64)> = Vec::new();
     let mut anchors: Vec<(u64, Vec<Anchor>)> = Vec::new();
     for r in records {
-        match r.event {
-            ObsEvent::SchedulerQuantum { session, .. } => {
-                if let Some(c) = r.corr {
-                    if !corr_session.iter().any(|&(cc, _)| cc == c) {
-                        corr_session.push((c, session));
-                    }
-                }
+        let ObsEvent::SchedulerQuantum {
+            session, end_cycle, ..
+        } = r.event
+        else {
+            continue;
+        };
+        if let Some(c) = r.corr {
+            if !corr_session.iter().any(|&(cc, _)| cc == c) {
+                corr_session.push((c, session));
             }
-            ObsEvent::CycleAnchor { session, cycle } => {
-                let list = match anchors.iter_mut().find(|(s, _)| *s == session) {
-                    Some((_, l)) => l,
-                    None => {
-                        anchors.push((session, Vec::new()));
-                        &mut anchors.last_mut().expect("just pushed").1
-                    }
-                };
-                list.push(Anchor {
-                    cycle,
-                    wall_ns: r.wall_ns,
-                });
-            }
-            _ => {}
         }
+        let list = match anchors.iter_mut().find(|(s, _)| *s == session) {
+            Some((_, l)) => l,
+            None => {
+                anchors.push((session, Vec::new()));
+                &mut anchors.last_mut().expect("just pushed").1
+            }
+        };
+        list.push(Anchor {
+            cycle: end_cycle,
+            wall_ns: r.wall_ns,
+        });
     }
     for (_, list) in &mut anchors {
         list.sort_by_key(|a| a.cycle);
@@ -217,20 +217,6 @@ pub fn unified_timeline(records: &[JournalRecord]) -> ChromeTrace {
                             ),
                         ],
                     ),
-                });
-            }
-            ObsEvent::CycleAnchor { session, cycle } => {
-                let tid = sim_tid(*session);
-                note_sim_tid(&mut used_sim_tids, tid, format!("session {session}"));
-                out.push(ChromeEvent {
-                    name: format!("anchor @{cycle}"),
-                    cat: "anchor".into(),
-                    ph: "i".into(),
-                    ts: anchored_us(anchors_of(Some(*session)), *cycle),
-                    dur: 0.0,
-                    pid: SIM_PID,
-                    tid,
-                    args: args_corr(r.corr, vec![]),
                 });
             }
             ObsEvent::DeviceRun {
@@ -378,7 +364,7 @@ mod tests {
     use crate::journal::Journal;
 
     /// A journal trail resembling one `session.run` request: dispatch,
-    /// two quanta with device runs and anchors, completion.
+    /// two quanta with their device runs, completion.
     fn sample_journal() -> Journal {
         let j = Journal::new(64);
         let corr = j.next_corr();
@@ -408,14 +394,6 @@ mod tests {
                     start_cycle: s,
                     end_cycle: e,
                     wall_ns: 1_000,
-                },
-            );
-            j.record(
-                Some(corr),
-                Some(e),
-                ObsEvent::CycleAnchor {
-                    session: 1,
-                    cycle: e,
                 },
             );
         }
@@ -469,10 +447,19 @@ mod tests {
         let snap = j.snapshot();
         let trace = unified_timeline(&snap);
         // The second device run (cycles 50k..100k) must start at the wall
-        // time of the 50k anchor, not at the raw cycle conversion.
+        // time of the quantum that ended at 50k, not at the raw cycle
+        // conversion.
         let anchor_wall = snap
             .iter()
-            .find(|r| matches!(r.event, ObsEvent::CycleAnchor { cycle: 50_000, .. }))
+            .find(|r| {
+                matches!(
+                    r.event,
+                    ObsEvent::SchedulerQuantum {
+                        end_cycle: 50_000,
+                        ..
+                    }
+                )
+            })
             .map(|r| r.wall_ns as f64 / 1e3)
             .unwrap();
         let run = trace

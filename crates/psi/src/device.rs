@@ -867,7 +867,7 @@ impl Device {
                 None => self.sink_dropped += messages.len() as u64,
             }
             if let (Some(t0), Some(tel)) = (span_t0, self.telemetry.as_ref()) {
-                tel.handle.spans().record(
+                tel.handle.span(
                     Subsystem::TraceEncode,
                     cycle,
                     cycle,
@@ -1010,7 +1010,7 @@ impl Device {
             self.step_into(&mut NullSink);
             if let Some(c) = self.soc.take_debug_completion() {
                 if let (Some(t0), Some(tel)) = (span_t0, self.telemetry.as_ref()) {
-                    tel.handle.spans().record(
+                    tel.handle.span(
                         Subsystem::BusArbitration,
                         start_cycle,
                         self.soc.cycle(),
@@ -1247,7 +1247,7 @@ impl Device {
             InterfaceKind::Can => self.can.record_transaction(payload, busy),
         }
         if let (Some(t0), Some(tel)) = (span_t0, self.telemetry.as_ref()) {
-            tel.handle.spans().record(
+            tel.handle.span(
                 Subsystem::DebugLink,
                 start,
                 self.soc.cycle(),

@@ -24,6 +24,8 @@
 //! | `0x408` | `DMA_LEN`  | R/W | DMA length in bytes (word-granular) |
 //! | `0x40C` | `DMA_CTRL` | R/W | write 1: start; read: bit0 = busy, bit1 = error |
 
+use std::collections::VecDeque;
+
 use crate::bus::{Addr, BusFault, BusTarget, XferKind};
 use crate::isa::MemWidth;
 
@@ -68,7 +70,9 @@ pub struct PeriphState {
 pub struct PeriphBlock {
     base: Addr,
     out_latch: [u32; OUT_PORT_COUNT],
-    out_history: Vec<Vec<PortWrite>>,
+    /// Per-port write history, oldest first; dropping the oldest entry at
+    /// the cap is O(1).
+    out_history: Vec<VecDeque<PortWrite>>,
     history_cap: usize,
     in_ports: [u32; IN_PORT_COUNT],
     trig_out_pulses: Vec<(u64, u32)>,
@@ -91,7 +95,7 @@ impl PeriphBlock {
         PeriphBlock {
             base,
             out_latch: [0; OUT_PORT_COUNT],
-            out_history: vec![Vec::new(); OUT_PORT_COUNT],
+            out_history: vec![VecDeque::new(); OUT_PORT_COUNT],
             history_cap,
             in_ports: [0; IN_PORT_COUNT],
             trig_out_pulses: Vec::new(),
@@ -186,8 +190,8 @@ impl PeriphBlock {
         self.out_latch[port]
     }
 
-    /// Timestamped write history of output port `port`.
-    pub fn output_history(&self, port: usize) -> &[PortWrite] {
+    /// Timestamped write history of output port `port`, oldest first.
+    pub fn output_history(&self, port: usize) -> &VecDeque<PortWrite> {
         &self.out_history[port]
     }
 
@@ -219,7 +223,11 @@ impl PeriphBlock {
     pub fn save_state(&self) -> PeriphState {
         PeriphState {
             out_latch: self.out_latch,
-            out_history: self.out_history.clone(),
+            out_history: self
+                .out_history
+                .iter()
+                .map(|h| h.iter().copied().collect())
+                .collect(),
             in_ports: self.in_ports,
             trig_out_pulses: self.trig_out_pulses.clone(),
             trig_in_level: self.trig_in_level,
@@ -239,7 +247,11 @@ impl PeriphBlock {
     /// and history capacity are untouched.
     pub fn restore_state(&mut self, state: &PeriphState) {
         self.out_latch = state.out_latch;
-        self.out_history = state.out_history.clone();
+        self.out_history = state
+            .out_history
+            .iter()
+            .map(|h| h.iter().copied().collect())
+            .collect();
         self.in_ports = state.in_ports;
         self.trig_out_pulses = state.trig_out_pulses.clone();
         self.trig_in_level = state.trig_in_level;
@@ -322,9 +334,9 @@ impl BusTarget for PeriphBlock {
                 self.out_latch[port] = value;
                 let h = &mut self.out_history[port];
                 if h.len() == self.history_cap {
-                    h.remove(0);
+                    h.pop_front();
                 }
-                h.push(PortWrite { cycle: now, value });
+                h.push_back(PortWrite { cycle: now, value });
                 Ok(())
             }
             0x300 => {
@@ -370,6 +382,33 @@ mod tests {
             "oldest dropped"
         );
         assert_eq!(p.read(BASE + 0x100, MemWidth::Word, 50).unwrap(), 4);
+    }
+
+    #[test]
+    fn history_resumes_from_saved_state_past_the_wrap() {
+        let write_cycles = |p: &mut PeriphBlock, cycles: std::ops::Range<u64>| {
+            for c in cycles {
+                p.write(BASE + 0x100, MemWidth::Word, c as u32, c).unwrap();
+            }
+        };
+        let mut control = PeriphBlock::new(BASE, 10);
+        write_cycles(&mut control, 0..25);
+
+        let mut saved = PeriphBlock::new(BASE, 10);
+        write_cycles(&mut saved, 0..13);
+        let state = saved.save_state();
+        let kept: Vec<u64> = state.out_history[0].iter().map(|w| w.cycle).collect();
+        assert_eq!(
+            kept,
+            (3..13).collect::<Vec<_>>(),
+            "state holds oldest first"
+        );
+
+        let mut resumed = PeriphBlock::new(BASE, 10);
+        resumed.restore_state(&state);
+        write_cycles(&mut resumed, 13..25);
+        assert_eq!(resumed.output_history(0), control.output_history(0));
+        assert_eq!(resumed.save_state(), control.save_state());
     }
 
     #[test]

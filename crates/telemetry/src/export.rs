@@ -1,11 +1,9 @@
 //! Snapshot exporters: Prometheus text exposition and JSON.
 //!
 //! Both render a [`TelemetrySnapshot`], so a snapshot taken once can be
-//! exported twice consistently. Span aggregates are exported as three
-//! synthetic counter families (`telemetry_spans_total`,
-//! `telemetry_span_sim_cycles_total`, `telemetry_span_wall_ns_total`)
-//! labelled by subsystem, so a Prometheus scrape sees the same data the
-//! JSON document carries structurally.
+//! exported twice consistently. Span aggregates need no special case:
+//! they are ordinary labelled counters (`telemetry_spans_total`,
+//! `telemetry_span_sim_cycles_total`, `telemetry_span_wall_ns_total`).
 
 use std::fmt::Write as _;
 
@@ -42,11 +40,16 @@ fn labels_plus(labels: &[(String, String)], extra: (&str, &str)) -> String {
 }
 
 /// Renders the snapshot in Prometheus text exposition format
-/// (`# HELP` / `# TYPE` preambles, one sample per line).
+/// (`# HELP` / `# TYPE` preambles, one sample per line). Each family is
+/// emitted once, in first-registration order, with all its labelled
+/// series grouped under one preamble.
 pub fn to_prometheus(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     let mut last_family = "";
-    for m in &snapshot.metrics {
+    let first_seen = |name: &str| snapshot.metrics.iter().position(|m| m.name == name);
+    let mut grouped: Vec<_> = snapshot.metrics.iter().collect();
+    grouped.sort_by_key(|m| first_seen(&m.name));
+    for m in grouped {
         let kind = match &m.value {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) => "gauge",
@@ -89,43 +92,6 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot) -> String {
             }
         }
     }
-    for s in &snapshot.subsystems {
-        let labels = render_labels(&[("subsystem".to_string(), s.subsystem.clone())]);
-        let _ = writeln!(
-            out,
-            "# HELP telemetry_spans_total spans recorded per subsystem"
-        );
-        let _ = writeln!(out, "# TYPE telemetry_spans_total counter");
-        let _ = writeln!(out, "telemetry_spans_total{labels} {}", s.count);
-        let _ = writeln!(
-            out,
-            "# HELP telemetry_span_sim_cycles_total simulated cycles covered by spans"
-        );
-        let _ = writeln!(out, "# TYPE telemetry_span_sim_cycles_total counter");
-        let _ = writeln!(
-            out,
-            "telemetry_span_sim_cycles_total{labels} {}",
-            s.sim_cycles
-        );
-        let _ = writeln!(
-            out,
-            "# HELP telemetry_span_wall_ns_total host wall nanoseconds spent in spans"
-        );
-        let _ = writeln!(out, "# TYPE telemetry_span_wall_ns_total counter");
-        let _ = writeln!(out, "telemetry_span_wall_ns_total{labels} {}", s.wall_ns);
-    }
-    if snapshot.dropped_spans > 0 || !snapshot.subsystems.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP telemetry_spans_dropped_total span events lost to the bounded ring"
-        );
-        let _ = writeln!(out, "# TYPE telemetry_spans_dropped_total counter");
-        let _ = writeln!(
-            out,
-            "telemetry_spans_dropped_total {}",
-            snapshot.dropped_spans
-        );
-    }
     out
 }
 
@@ -143,9 +109,9 @@ fn valid_name(name: &str) -> bool {
 /// Lightweight validator for Prometheus text exposition output.
 ///
 /// Checks that every non-comment line is `name[{labels}] value`, that
-/// names are legal, that every sample's family was announced by a
-/// `# TYPE` line, and that values parse as numbers (`+Inf` allowed in
-/// `le` labels, not as values). Returns the number of samples.
+/// names are legal, that every sample's family was announced by exactly
+/// one `# TYPE` line, and that values parse as numbers (`+Inf` allowed
+/// in `le` labels, not as values). Returns the number of samples.
 pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     let mut typed: Vec<String> = Vec::new();
     let mut samples = 0usize;
@@ -166,6 +132,9 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                     "counter" | "gauge" | "histogram" | "summary" | "untyped"
                 ) {
                     return Err(format!("line {lineno}: unknown metric kind {kind}"));
+                }
+                if typed.iter().any(|t| t == name) {
+                    return Err(format!("line {lineno}: second TYPE line for {name}"));
                 }
                 typed.push(name.to_string());
             }
@@ -256,6 +225,45 @@ mod tests {
         assert!(validate_prometheus("# TYPE x counter\nx notanumber").is_err());
         assert!(validate_prometheus("# TYPE x counter\nx{bad} 1").is_err());
         assert!(validate_prometheus("# TYPE x wat\nx 1").is_err());
+        assert!(validate_prometheus("# TYPE x counter\nx 1\n# TYPE x counter\nx 2").is_err());
+    }
+
+    #[test]
+    fn interleaved_registration_exports_each_family_once() {
+        let tel = crate::Telemetry::new();
+        tel.span(crate::Subsystem::FifoDrain, 0, 4, 10);
+        tel.span(crate::Subsystem::TraceDecode, 0, 8, 20);
+        let reg = tel.registry();
+        reg.counter_with("m_total", "m", &[("k", "a")]).add(1);
+        reg.counter("other_total", "other").add(2);
+        reg.counter_with("m_total", "m", &[("k", "b")]).add(3);
+        let prom = tel.to_prometheus();
+        for family in [
+            "telemetry_spans_total",
+            "telemetry_span_sim_cycles_total",
+            "telemetry_span_wall_ns_total",
+            "m_total",
+            "other_total",
+        ] {
+            let preamble = format!("# TYPE {family} counter");
+            assert_eq!(prom.matches(&preamble).count(), 1, "{family}:\n{prom}");
+        }
+        // Each family's series sit together, families in first-registration order.
+        let lines: Vec<&str> = prom.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(
+            lines[..4],
+            [
+                "telemetry_spans_total{subsystem=\"fifo_drain\"} 1",
+                "telemetry_spans_total{subsystem=\"trace_decode\"} 1",
+                "telemetry_span_sim_cycles_total{subsystem=\"fifo_drain\"} 4",
+                "telemetry_span_sim_cycles_total{subsystem=\"trace_decode\"} 8",
+            ]
+        );
+        assert_eq!(
+            lines[6..],
+            ["m_total{k=\"a\"} 1", "m_total{k=\"b\"} 3", "other_total 2"]
+        );
+        assert_eq!(validate_prometheus(&prom), Ok(9));
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   every *sample* is a handful of atomic operations with no allocation,
 //!   so hot paths (the per-cycle device step, per-transaction link
 //!   accounting) can stay instrumented permanently;
-//! * a [`SpanRecorder`] of cycle-stamped subsystem spans (bus arbitration,
-//!   FIFO drain, trace encode/decode, XCP transactions,
-//!   snapshot/restore) that aggregates simulated-cycle and host
-//!   wall-clock cost per [`Subsystem`] and keeps a bounded ring of recent
-//!   span events;
+//! * cycle-stamped subsystem spans ([`Telemetry::span`]: bus
+//!   arbitration, FIFO drain, trace encode/decode, XCP transactions,
+//!   snapshot/restore, …) aggregated into three labelled registry
+//!   counters per [`Subsystem`] — span count, simulated cycles and host
+//!   wall-clock nanoseconds;
 //! * two exporters over one [`TelemetrySnapshot`]: Prometheus text
 //!   exposition ([`to_prometheus`]) and a JSON document
 //!   ([`to_json`]) written next to the bench `--out-dir` artifacts.
@@ -29,7 +29,7 @@
 //! simulated cycle — the suite's determinism test replays a recorded run
 //! with telemetry on and off and asserts bit-identical state hashes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 mod export;
 mod metrics;
@@ -40,10 +40,11 @@ pub use export::{to_json, to_prometheus, validate_prometheus};
 pub use metrics::{
     Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry, TelemetrySnapshot,
 };
-pub use spans::{SpanEvent, SpanRecorder, SpanTimer, Subsystem, SubsystemSummary};
+pub use spans::Subsystem;
 pub use throughput::ThroughputMeter;
 
-/// The shared telemetry bundle: one registry plus one span recorder.
+/// The shared telemetry bundle: one metrics registry that also carries
+/// the span aggregates.
 ///
 /// Cheap to clone (an `Arc` internally); every subsystem that wants to
 /// publish holds a clone and samples through it. A detached subsystem
@@ -57,7 +58,10 @@ pub struct Telemetry {
 #[derive(Debug, Default)]
 struct TelemetryInner {
     registry: Registry,
-    spans: SpanRecorder,
+    /// Per-subsystem span counters (count, sim cycles, wall ns), indexed
+    /// by `Subsystem as usize` and registered on the subsystem's first
+    /// span, so a subsystem that never records one exports nothing.
+    spans: [OnceLock<[Counter; 3]>; Subsystem::ALL.len()],
 }
 
 impl Telemetry {
@@ -71,19 +75,37 @@ impl Telemetry {
         &self.inner.registry
     }
 
-    /// The span recorder.
-    pub fn spans(&self) -> &SpanRecorder {
-        &self.inner.spans
+    /// Records one completed span of `subsystem` work covering simulated
+    /// cycles `start_cycle..end_cycle` (saturating) and `wall_ns` host
+    /// nanoseconds. The first span of a subsystem registers its three
+    /// `telemetry_span*{subsystem}` counters; every later one is three
+    /// relaxed atomic adds and takes no lock.
+    pub fn span(&self, subsystem: Subsystem, start_cycle: u64, end_cycle: u64, wall_ns: u64) {
+        let [count, cycles, wall] = self.inner.spans[subsystem as usize].get_or_init(|| {
+            let label = [("subsystem", subsystem.name())];
+            let reg = &self.inner.registry;
+            [
+                ("telemetry_spans_total", "spans recorded per subsystem"),
+                (
+                    "telemetry_span_sim_cycles_total",
+                    "simulated cycles covered by spans",
+                ),
+                (
+                    "telemetry_span_wall_ns_total",
+                    "host wall nanoseconds spent in spans",
+                ),
+            ]
+            .map(|(name, help)| reg.counter_with(name, help, &label))
+        });
+        count.inc();
+        cycles.add(end_cycle.saturating_sub(start_cycle));
+        wall.add(wall_ns);
     }
 
-    /// Captures a point-in-time snapshot of every metric and span
-    /// aggregate (the input to both exporters).
+    /// Captures a point-in-time snapshot of every metric, span
+    /// aggregates included (the input to both exporters).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = self.inner.registry.snapshot();
-        snap.subsystems = self.inner.spans.summaries();
-        snap.recent_spans = self.inner.spans.recent();
-        snap.dropped_spans = self.inner.spans.dropped();
-        snap
+        self.inner.registry.snapshot()
     }
 
     /// Renders the current state in Prometheus text exposition format.
@@ -106,7 +128,7 @@ mod tests {
         let tel = Telemetry::new();
         tel.registry().counter("demo_events_total", "events").add(3);
         tel.registry().gauge("demo_fill", "fill level").set(0.5);
-        tel.spans().record(Subsystem::TraceEncode, 10, 20, 1_000);
+        tel.span(Subsystem::TraceEncode, 10, 20, 1_000);
         let snap = tel.snapshot();
         let json = to_json(&snap);
         let back: TelemetrySnapshot = serde_json::from_str(&json).expect("JSON export parses");

@@ -11,8 +11,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::spans::{SpanEvent, SubsystemSummary};
-
 /// A monotonic counter handle.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
@@ -196,18 +194,27 @@ pub enum MetricValue {
     },
 }
 
-/// A full telemetry snapshot: every metric plus per-subsystem span
-/// aggregates — the document both exporters render.
+/// A full telemetry snapshot: every metric, span aggregates included —
+/// the document both exporters render.
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// All registered metrics in registration order.
     pub metrics: Vec<MetricSnapshot>,
-    /// Per-subsystem span aggregates.
-    pub subsystems: Vec<SubsystemSummary>,
-    /// The most recent span events (bounded ring; oldest first).
-    pub recent_spans: Vec<SpanEvent>,
-    /// Span events discarded because the ring was full.
-    pub dropped_spans: u64,
+}
+
+impl TelemetrySnapshot {
+    /// The value of the counter series `name{labels}`, if it was
+    /// registered (e.g. `telemetry_spans_total{subsystem="farm"}`).
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
+        self.metrics.iter().find_map(|m| match m.value {
+            MetricValue::Counter(v) if m.name == name && labels_match(&m.labels, labels) => Some(v),
+            _ => None,
+        })
+    }
+}
+
+fn labels_match(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
+    have.len() == want.len() && have.iter().zip(want).all(|(h, w)| h.0 == w.0 && h.1 == w.1)
 }
 
 /// The metric registry. See the module docs for the locking contract.
@@ -230,14 +237,10 @@ impl Registry {
         make: impl FnOnce() -> MetricHandle,
     ) -> MetricHandle {
         let mut entries = self.entries.lock().expect("registry poisoned");
-        if let Some(e) = entries.iter().find(|e| {
-            e.name == name
-                && e.labels.len() == labels.len()
-                && e.labels
-                    .iter()
-                    .zip(labels)
-                    .all(|(have, want)| have.0 == want.0 && have.1 == want.1)
-        }) {
+        if let Some(e) = entries
+            .iter()
+            .find(|e| e.name == name && labels_match(&e.labels, labels))
+        {
             return e.handle.clone();
         }
         let handle = make();
@@ -321,9 +324,7 @@ impl Registry {
         }
     }
 
-    /// Samples every registered metric. Span fields of the returned
-    /// snapshot are left empty — [`crate::Telemetry::snapshot`] fills
-    /// them in.
+    /// Samples every registered metric.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let entries = self.entries.lock().expect("registry poisoned");
         let metrics = entries
@@ -349,12 +350,7 @@ impl Registry {
                 },
             })
             .collect();
-        TelemetrySnapshot {
-            metrics,
-            subsystems: Vec::new(),
-            recent_spans: Vec::new(),
-            dropped_spans: 0,
-        }
+        TelemetrySnapshot { metrics }
     }
 }
 

@@ -1,22 +1,14 @@
-//! Cycle-stamped span instrumentation keyed by subsystem.
+//! The span label vocabulary.
 //!
 //! A span records one unit of work — a bus arbitration round, a FIFO
 //! drain, one trace encode batch, an XCP transaction, a snapshot capture
-//! — as `(subsystem, start_cycle, end_cycle, wall_ns)`. Recording
-//! aggregates into per-subsystem atomics (count, simulated cycles, host
-//! wall nanoseconds) and appends to a bounded ring of recent events;
-//! once the ring is full new events bump a drop counter instead of
-//! allocating, so the hot path stays bounded.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// Capacity of the recent-events ring.
-const RING_CAPACITY: usize = 1024;
+//! — as `(subsystem, start_cycle, end_cycle, wall_ns)` through
+//! [`crate::Telemetry::span`]. Spans are aggregated into three labelled
+//! registry counters per [`Subsystem`] (count, simulated cycles, host
+//! wall nanoseconds); no per-event record is kept.
 
 /// The instrumented subsystems.
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Subsystem {
     /// Bus arbitration of a debug-initiated access.
     BusArbitration,
@@ -75,13 +67,6 @@ impl Subsystem {
             Subsystem::Vnet => "vnet",
         }
     }
-
-    fn index(self) -> usize {
-        Subsystem::ALL
-            .iter()
-            .position(|&s| s == self)
-            .expect("subsystem listed in ALL")
-    }
 }
 
 impl std::fmt::Display for Subsystem {
@@ -90,194 +75,60 @@ impl std::fmt::Display for Subsystem {
     }
 }
 
-/// One recorded span event.
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq)]
-pub struct SpanEvent {
-    /// Which subsystem did the work.
-    pub subsystem: Subsystem,
-    /// Simulated cycle when the span started.
-    pub start_cycle: u64,
-    /// Simulated cycle when the span ended.
-    pub end_cycle: u64,
-    /// Host wall-clock cost in nanoseconds.
-    pub wall_ns: u64,
-}
-
-/// Aggregated span statistics for one subsystem.
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, Default, PartialEq)]
-pub struct SubsystemSummary {
-    /// Stable subsystem name (see [`Subsystem::name`]).
-    pub subsystem: String,
-    /// Number of spans recorded.
-    pub count: u64,
-    /// Total simulated cycles covered by the spans.
-    pub sim_cycles: u64,
-    /// Total host wall-clock nanoseconds spent.
-    pub wall_ns: u64,
-}
-
-#[derive(Debug, Default)]
-struct SubsystemAgg {
-    count: AtomicU64,
-    sim_cycles: AtomicU64,
-    wall_ns: AtomicU64,
-}
-
-/// Records spans and aggregates them per subsystem.
-#[derive(Debug)]
-pub struct SpanRecorder {
-    aggs: [SubsystemAgg; Subsystem::ALL.len()],
-    ring: Mutex<Vec<SpanEvent>>,
-    dropped: AtomicU64,
-}
-
-impl Default for SpanRecorder {
-    fn default() -> SpanRecorder {
-        SpanRecorder {
-            aggs: Default::default(),
-            ring: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-}
-
-impl SpanRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> SpanRecorder {
-        SpanRecorder::default()
-    }
-
-    /// Records one completed span.
-    pub fn record(&self, subsystem: Subsystem, start_cycle: u64, end_cycle: u64, wall_ns: u64) {
-        let agg = &self.aggs[subsystem.index()];
-        agg.count.fetch_add(1, Ordering::Relaxed);
-        agg.sim_cycles
-            .fetch_add(end_cycle.saturating_sub(start_cycle), Ordering::Relaxed);
-        agg.wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
-        let mut ring = self.ring.lock().expect("span ring poisoned");
-        if ring.len() < RING_CAPACITY {
-            ring.push(SpanEvent {
-                subsystem,
-                start_cycle,
-                end_cycle,
-                wall_ns,
-            });
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Starts a wall-clock timer for a span; call
-    /// [`SpanTimer::finish`] with the cycle bounds when the work is done.
-    pub fn start(&self, subsystem: Subsystem) -> SpanTimer<'_> {
-        SpanTimer {
-            recorder: self,
-            subsystem,
-            started: Instant::now(),
-        }
-    }
-
-    /// Per-subsystem aggregates, in [`Subsystem::ALL`] order, skipping
-    /// subsystems with no recorded spans.
-    pub fn summaries(&self) -> Vec<SubsystemSummary> {
-        Subsystem::ALL
-            .iter()
-            .filter_map(|&s| {
-                let agg = &self.aggs[s.index()];
-                let count = agg.count.load(Ordering::Relaxed);
-                if count == 0 {
-                    return None;
-                }
-                Some(SubsystemSummary {
-                    subsystem: s.name().to_string(),
-                    count,
-                    sim_cycles: agg.sim_cycles.load(Ordering::Relaxed),
-                    wall_ns: agg.wall_ns.load(Ordering::Relaxed),
-                })
-            })
-            .collect()
-    }
-
-    /// The retained recent span events, oldest first.
-    pub fn recent(&self) -> Vec<SpanEvent> {
-        self.ring.lock().expect("span ring poisoned").clone()
-    }
-
-    /// Span events discarded because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// In-flight span: holds the wall-clock start until the caller knows the
-/// cycle bounds.
-#[derive(Debug)]
-pub struct SpanTimer<'a> {
-    recorder: &'a SpanRecorder,
-    subsystem: Subsystem,
-    started: Instant,
-}
-
-impl SpanTimer<'_> {
-    /// Completes the span, recording elapsed wall time plus the given
-    /// simulated-cycle bounds.
-    pub fn finish(self, start_cycle: u64, end_cycle: u64) {
-        let wall_ns = self.started.elapsed().as_nanos() as u64;
-        self.recorder
-            .record(self.subsystem, start_cycle, end_cycle, wall_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
+
+    /// The value of `name{subsystem=sub}`, if that series was exported.
+    fn span_counter(tel: &Telemetry, name: &str, sub: Subsystem) -> Option<u64> {
+        tel.snapshot().counter(name, &[("subsystem", sub.name())])
+    }
 
     #[test]
     fn aggregates_per_subsystem() {
-        let rec = SpanRecorder::new();
-        rec.record(Subsystem::TraceEncode, 0, 10, 100);
-        rec.record(Subsystem::TraceEncode, 10, 30, 200);
-        rec.record(Subsystem::XcpTransaction, 5, 6, 50);
-        let sums = rec.summaries();
-        assert_eq!(sums.len(), 2);
-        let enc = &sums[0];
-        assert_eq!(enc.subsystem, "trace_encode");
-        assert_eq!(enc.count, 2);
-        assert_eq!(enc.sim_cycles, 30);
-        assert_eq!(enc.wall_ns, 300);
-        assert_eq!(rec.recent().len(), 3);
-        assert_eq!(rec.dropped(), 0);
-    }
-
-    #[test]
-    fn ring_is_bounded() {
-        let rec = SpanRecorder::new();
-        for i in 0..(RING_CAPACITY as u64 + 10) {
-            rec.record(Subsystem::FifoDrain, i, i + 1, 1);
-        }
-        assert_eq!(rec.recent().len(), RING_CAPACITY);
-        assert_eq!(rec.dropped(), 10);
+        let tel = Telemetry::new();
+        tel.span(Subsystem::TraceEncode, 0, 10, 100);
+        tel.span(Subsystem::TraceEncode, 10, 30, 200);
+        tel.span(Subsystem::XcpTransaction, 5, 6, 50);
+        let enc = Subsystem::TraceEncode;
+        assert_eq!(span_counter(&tel, "telemetry_spans_total", enc), Some(2));
         assert_eq!(
-            rec.summaries()[0].count,
-            RING_CAPACITY as u64 + 10,
-            "aggregates keep counting past the ring"
+            span_counter(&tel, "telemetry_span_sim_cycles_total", enc),
+            Some(30)
         );
-    }
-
-    #[test]
-    fn timer_records_on_finish() {
-        let rec = SpanRecorder::new();
-        let t = rec.start(Subsystem::Snapshot);
-        t.finish(100, 200);
-        let sums = rec.summaries();
-        assert_eq!(sums[0].count, 1);
-        assert_eq!(sums[0].sim_cycles, 100);
+        assert_eq!(
+            span_counter(&tel, "telemetry_span_wall_ns_total", enc),
+            Some(300)
+        );
+        let xcp = Subsystem::XcpTransaction;
+        assert_eq!(span_counter(&tel, "telemetry_spans_total", xcp), Some(1));
+        // Two subsystems recorded spans: three series each, nothing else.
+        assert_eq!(tel.snapshot().metrics.len(), 6);
+        for name in [
+            "telemetry_spans_total",
+            "telemetry_span_sim_cycles_total",
+            "telemetry_span_wall_ns_total",
+        ] {
+            assert_eq!(
+                span_counter(&tel, name, Subsystem::Snapshot),
+                None,
+                "an unrecorded subsystem exports no {name} series"
+            );
+        }
     }
 
     #[test]
     fn backwards_cycles_saturate() {
-        let rec = SpanRecorder::new();
-        rec.record(Subsystem::Restore, 50, 10, 0);
-        assert_eq!(rec.summaries()[0].sim_cycles, 0);
+        let tel = Telemetry::new();
+        tel.span(Subsystem::Restore, 50, 10, 0);
+        assert_eq!(
+            span_counter(&tel, "telemetry_span_sim_cycles_total", Subsystem::Restore),
+            Some(0)
+        );
+        assert_eq!(
+            span_counter(&tel, "telemetry_spans_total", Subsystem::Restore),
+            Some(1)
+        );
     }
 }

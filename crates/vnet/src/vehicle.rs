@@ -470,58 +470,19 @@ impl Vehicle {
             .expect("ecu is a member of its segment")
     }
 
-    /// Counters sampled before an obs-journalled burst (frames delivered,
-    /// gateway forwards), or `None` when no journal is attached.
-    fn obs_burst_start(&self) -> Option<(u64, u64)> {
-        self.obs.as_ref().map(|_| {
-            let s = self.stats();
-            (s.frames, s.gateway_forwarded)
-        })
-    }
-
-    /// Records one `VnetStep` covering `start..self.cycle` against the
-    /// counters sampled at the burst start.
-    fn obs_burst_end(&self, start: u64, before: Option<(u64, u64)>) {
-        if let (Some(journal), Some((frames0, gw0))) = (&self.obs, before) {
-            let s = self.stats();
-            journal.record(
-                self.obs_corr,
-                Some(self.cycle),
-                mcds_obs::ObsEvent::VnetStep {
-                    start_cycle: start,
-                    end_cycle: self.cycle,
-                    frames: s.frames.saturating_sub(frames0),
-                    gateway_forwarded: s.gateway_forwarded.saturating_sub(gw0),
-                },
-            );
-        }
-    }
-
-    /// Steps `n` vehicle cycles (one telemetry span for the burst).
+    /// Steps `n` vehicle cycles with no log events (one telemetry span
+    /// and one `VnetStep` journal record for the burst).
     pub fn run_cycles(&mut self, n: u64) {
-        let t0 = self.telemetry.as_ref().map(|_| std::time::Instant::now());
-        let before = self.obs_burst_start();
-        let start = self.cycle;
-        for _ in 0..n {
-            self.step();
-        }
-        if let (Some(t0), Some(tel)) = (t0, &self.telemetry) {
-            tel.spans().record(
-                Subsystem::Vnet,
-                start,
-                self.cycle,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        self.obs_burst_end(start, before);
+        self.run_with_events(&VehicleLog::new(), &mut 0, n);
     }
 
     /// Runs `cycles` steps, applying due log events as time passes.
     /// `cursor` tracks the next unapplied event (see
-    /// [`VehicleLog::cursor_at`] for resuming mid-log).
+    /// [`VehicleLog::cursor_at`] for resuming mid-log). The burst is one
+    /// telemetry span and, with a journal attached, one `VnetStep`.
     pub fn run_with_events(&mut self, log: &VehicleLog, cursor: &mut usize, cycles: u64) {
         let t0 = self.telemetry.as_ref().map(|_| std::time::Instant::now());
-        let before = self.obs_burst_start();
+        let before = self.obs.as_ref().map(|_| self.stats());
         let start = self.cycle;
         let events = log.events();
         for _ in 0..cycles {
@@ -533,14 +494,26 @@ impl Vehicle {
             self.step();
         }
         if let (Some(t0), Some(tel)) = (t0, &self.telemetry) {
-            tel.spans().record(
+            tel.span(
                 Subsystem::Vnet,
                 start,
                 self.cycle,
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        self.obs_burst_end(start, before);
+        if let (Some(journal), Some(before)) = (&self.obs, before) {
+            let s = self.stats();
+            journal.record(
+                self.obs_corr,
+                Some(self.cycle),
+                mcds_obs::ObsEvent::VnetStep {
+                    start_cycle: start,
+                    end_cycle: self.cycle,
+                    frames: s.frames.saturating_sub(before.frames),
+                    gateway_forwarded: s.gateway_forwarded.saturating_sub(before.gateway_forwarded),
+                },
+            );
+        }
     }
 
     /// Serializes the fabric (everything outside the devices).

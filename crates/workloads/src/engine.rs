@@ -468,7 +468,12 @@ mod irq_tests {
         soc.load_program(&program_interrupt_driven(3_000, &map));
         soc.periph_mut().set_input(RPM_PORT, 2000);
         soc.run_cycles(100_000);
-        let h = soc.periph().output_history(INJECTION_PORT);
+        let h: Vec<_> = soc
+            .periph()
+            .output_history(INJECTION_PORT)
+            .iter()
+            .copied()
+            .collect();
         assert!(h.len() >= 30);
         for w in h.windows(2) {
             let gap = w[1].cycle - w[0].cycle;
