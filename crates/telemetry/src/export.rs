@@ -48,7 +48,7 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot) -> String {
     let mut last_family = "";
     let first_seen = |name: &str| snapshot.metrics.iter().position(|m| m.name == name);
     let mut grouped: Vec<_> = snapshot.metrics.iter().collect();
-    grouped.sort_by_key(|m| first_seen(&m.name));
+    grouped.sort_by_cached_key(|m| first_seen(&m.name));
     for m in grouped {
         let kind = match &m.value {
             MetricValue::Counter(_) => "counter",

@@ -118,6 +118,10 @@ fn one_farm_request_correlates_through_three_layers() {
     for layer in ["farm", "scheduler", "device"] {
         assert!(deepest.contains(&layer), "missing {layer} in {deepest:?}");
     }
+    // Each quantum leaves one scheduler record beside its one device slice.
+    let in_layer = |layer| records.iter().filter(|r| r.event.layer() == layer).count();
+    assert!(in_layer("device") > 0);
+    assert_eq!(in_layer("scheduler"), in_layer("device"));
 }
 
 #[test]
