@@ -9,8 +9,8 @@
 //!
 //! * **T9a** — recording overhead: the same run with and without periodic
 //!   checkpoints (wall-clock, checkpoints captured, per-checkpoint cost);
-//! * **T9b** — snapshot size: raw components vs delta-compressed against
-//!   the previous checkpoint;
+//! * **T9b** — snapshot size: bytes per component of the mid-run snapshot
+//!   plus its JSON size, with a JSON round-trip hash check;
 //! * **T9c** — bit-identical resume: restore a mid-run snapshot on a fresh
 //!   device, replay to the end, compare the final architectural state hash
 //!   *and* the decoded trace message stream against the uninterrupted run;
@@ -25,7 +25,7 @@
 use mcds_bench::{print_table, tracing_config, write_telemetry_artifacts, BenchArgs};
 use mcds_host::TimeTravel;
 use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
-use mcds_replay::{device_state_hash, trace_bytes, InputLog, Payload, Replayer, SocSnapshot};
+use mcds_replay::{device_state_hash, trace_bytes, InputLog, Replayer, SocSnapshot};
 use mcds_soc::cpu::CoreConfig;
 use mcds_soc::event::{CoreId, SocEvent};
 use mcds_telemetry::{MetricValue, Subsystem, Telemetry, ThroughputMeter};
@@ -157,56 +157,36 @@ fn main() {
         cycles_per_sec / 1e6
     );
 
-    // --- T9b: snapshot size, raw vs delta. ------------------------------
-    let parent = &base.mid_snapshot;
-    let mut child_dev = gearbox_device();
-    parent.restore_into(&mut child_dev);
-    let mut rep = Replayer::resume_at(&log, parent.cycle());
-    mcds_replay::run_with_events(&mut child_dev, &mut rep, parent.cycle() + every);
-    let child = SocSnapshot::capture(&child_dev);
-    let delta = child.delta_from(parent);
-    let rows: Vec<Vec<String>> = child
+    // --- T9b: snapshot size, per component and as JSON. -----------------
+    let snap = &base.mid_snapshot;
+    let rows: Vec<Vec<String>> = snap
         .components()
         .iter()
-        .zip(delta.components())
-        .map(|(raw, d)| {
+        .map(|c| {
             vec![
-                raw.name().to_string(),
-                raw.payload().stored_bytes().to_string(),
-                d.payload().stored_bytes().to_string(),
-                match d.payload() {
-                    Payload::Raw(_) => "raw",
-                    Payload::Delta { .. } => "delta",
-                    Payload::Same => "same",
-                }
-                .to_string(),
+                c.name().to_string(),
+                c.bytes().len().to_string(),
+                format!("{:#018x}", c.hash()),
             ]
         })
         .collect();
     print_table(
-        &format!("T9b: snapshot size, {every} cycles after the parent (bytes stored)"),
-        &["component", "raw", "delta", "encoding"],
+        &format!("T9b: snapshot size at cycle {}", snap.cycle()),
+        &["component", "bytes", "content hash"],
         &rows,
     );
+    let json = serde_json::to_string(snap).expect("snapshot serializes");
     println!(
-        "total: raw {} bytes, delta {} bytes ({:.1}% of raw)",
-        child.stored_bytes(),
-        delta.stored_bytes(),
-        100.0 * delta.stored_bytes() as f64 / child.stored_bytes().max(1) as f64
+        "total: {} bytes accounted (size_bytes), {} bytes as JSON",
+        snap.size_bytes(),
+        json.len()
     );
-    assert!(
-        delta.stored_bytes() < child.stored_bytes() / 2,
-        "delta must compress (flash never changes mid-run)"
+    let parsed: SocSnapshot = serde_json::from_str(&json).expect("snapshot parses");
+    assert_eq!(
+        parsed.state_hash(),
+        snap.state_hash(),
+        "the JSON round trip must preserve the snapshot hash"
     );
-    let rehydrated = delta.materialize(Some(parent));
-    assert_eq!(rehydrated.state_hash(), child.state_hash());
-    if !args.smoke {
-        println!(
-            "serialized JSON: raw {} bytes, delta {} bytes",
-            child.serialized_size(),
-            delta.serialized_size()
-        );
-    }
 
     // --- T9c: bit-identical resume from the mid-run snapshot. -----------
     let mut resumed = gearbox_device();

@@ -506,7 +506,8 @@ impl Farm {
     }
 
     /// Explicitly evicts a session to disk (waiting while busy). Returns
-    /// `(bytes, state_hash)` of the suspended snapshot.
+    /// `(bytes, state_hash)` of the suspended snapshot, `bytes` being the
+    /// length of the JSON file written.
     ///
     /// # Errors
     ///
@@ -544,17 +545,11 @@ impl Farm {
         };
         let snap = session.suspend();
         let state_hash = snap.state_hash();
-        let bytes = snap.size_bytes();
         let path = self.config.evict_dir.join(format!("session_{id}.json"));
-        let write = (|| -> std::io::Result<()> {
-            std::fs::create_dir_all(&self.config.evict_dir)?;
-            let json = serde_json::to_string(&snap)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            std::fs::write(&path, json)
-        })();
+        let write = mcds_replay::write_json_atomic(&path, &snap);
         let slot = inner.slots.get_mut(&id).expect("slot still present");
         match write {
-            Ok(()) => {
+            Ok(bytes) => {
                 slot.state = SlotState::Evicted {
                     path,
                     state_hash,
@@ -780,7 +775,10 @@ mod tests {
         farm.checkin(id, s, ran);
 
         let (bytes, state_hash) = farm.evict(id).unwrap();
-        assert!(bytes > 0);
+        let path = farm.config.evict_dir.join(format!("session_{id}.json"));
+        let on_disk = std::fs::metadata(&path).expect("snapshot file").len();
+        assert_eq!(bytes as u64, on_disk, "evict reports the bytes it wrote");
+        assert_eq!(farm.stats().evicted_bytes as u64, on_disk);
         assert_eq!(state_hash, hash_before);
         assert_eq!(farm.stats().sessions_evicted, 1);
 

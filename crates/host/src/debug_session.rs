@@ -31,7 +31,7 @@ use mcds_xcp::XcpMaster;
 
 /// Session snapshot format version; bump on any incompatible change to
 /// [`SessionSnapshot`]'s layout.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 1;
+pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
 
 /// Everything needed to revive a suspended session on a structurally
 /// identical device: the debugger book-keeping, the device snapshot, and
@@ -42,20 +42,19 @@ pub struct SessionSnapshot {
     pub version: u32,
     /// Total cycles the session had run when suspended.
     pub cycles_run: u64,
-    /// [`mcds_replay::device_state_hash`] of the device at suspend time.
-    pub device_hash: u64,
     /// Host-side breakpoint/watchpoint tables and base MCDS configuration.
     pub debugger: DebuggerState,
-    /// Full device snapshot (all-raw).
+    /// Full device snapshot.
     pub soc: SocSnapshot,
 }
 
 impl SessionSnapshot {
-    /// The device-state hash recorded at suspend time —
-    /// [`Session::state_hash`] of any correctly revived session equals
-    /// this, which is how the farm proves evict/revive bit-identity.
+    /// The device snapshot's [`SocSnapshot::state_hash`] — by
+    /// construction the [`Session::state_hash`] the session had at suspend
+    /// time, and the one any correctly revived session has, which is how
+    /// the farm proves evict/revive bit-identity.
     pub fn state_hash(&self) -> u64 {
-        self.device_hash
+        self.soc.state_hash()
     }
 
     /// Accounting size of the snapshot (content bytes plus framing) — what
@@ -362,7 +361,6 @@ impl Session {
         SessionSnapshot {
             version: SESSION_SNAPSHOT_VERSION,
             cycles_run: self.cycles_run,
-            device_hash: device_state_hash(&dev),
             debugger: state,
             soc: SocSnapshot::capture(&dev),
         }
@@ -582,7 +580,9 @@ mod tests {
         control.run(30_000);
         subject.run(30_000);
 
+        let live_hash = subject.state_hash();
         let snap = subject.suspend();
+        assert_eq!(snap.state_hash(), live_hash);
         let json = serde_json::to_string(&snap).unwrap();
         let snap: SessionSnapshot = serde_json::from_str(&json).unwrap();
         assert!(snap.size_bytes() > 0);

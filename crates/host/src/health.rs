@@ -65,7 +65,7 @@ pub struct LinkHealthRow {
     pub link: &'static str,
     /// Debug transactions completed.
     pub transactions: u64,
-    /// Payload bytes carried.
+    /// Bytes of link payload carried.
     pub payload_bytes: u64,
     /// Frames lost or corrupted by the fault injector (0 when no
     /// injector is armed).

@@ -89,7 +89,7 @@ pub enum ObsEvent {
     SessionEvicted {
         /// Session id.
         session: u64,
-        /// Serialized snapshot size.
+        /// Bytes of the snapshot file written to disk.
         bytes: u64,
     },
     /// The registry transparently revived an evicted session.

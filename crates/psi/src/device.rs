@@ -578,7 +578,7 @@ fn kind_from_code(code: u8) -> InterfaceKind {
 /// Serializable runtime state of a whole [`Device`] — everything except the
 /// memory contents (flash, SRAM, emulation RAM), which are exposed as raw
 /// images by [`mcds_soc::soc::Soc::memory_image`] and snapshotted
-/// separately so large memories can be delta-compressed.
+/// separately as raw byte components.
 ///
 /// Restoring requires a device built with the identical configuration
 /// (variant, cores, MCDS config, trace segments); the restore methods

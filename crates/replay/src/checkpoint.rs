@@ -7,7 +7,7 @@ use crate::snapshot::SocSnapshot;
 use mcds_psi::Device;
 use std::collections::VecDeque;
 
-/// One checkpoint: a raw snapshot plus the per-core retired-instruction
+/// One checkpoint: a snapshot plus the per-core retired-instruction
 /// counts at capture time (used by `reverse_step` to pick the checkpoint
 /// that precedes a target instruction).
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone)]
@@ -111,7 +111,7 @@ impl CheckpointRing {
         }
         let cp = Checkpoint::capture(dev);
         if let Some(tel) = dev.telemetry() {
-            let bytes = cp.snapshot().stored_bytes() as u64;
+            let bytes = cp.snapshot().size_bytes() as u64;
             let reg = tel.registry();
             reg.counter(
                 "replay_checkpoints_total",
@@ -120,12 +120,12 @@ impl CheckpointRing {
             .inc();
             reg.counter(
                 "replay_checkpoint_bytes_total",
-                "cumulative stored bytes across captured checkpoints",
+                "cumulative accounted size (SocSnapshot::size_bytes) of captured checkpoints",
             )
             .add(bytes);
             reg.gauge(
                 "replay_checkpoint_bytes",
-                "stored size of the most recent checkpoint",
+                "accounted size (SocSnapshot::size_bytes) of the most recent checkpoint",
             )
             .set(bytes as f64);
         }
@@ -206,7 +206,7 @@ mod telemetry_tests {
         assert!(ring.observe(&dev));
         dev.run_cycles(150);
         assert!(ring.observe(&dev));
-        let cp_bytes = ring.iter().last().unwrap().snapshot().stored_bytes() as u64;
+        let cp_bytes = ring.iter().last().unwrap().snapshot().size_bytes() as u64;
 
         let snap = dev.telemetry().unwrap().snapshot();
         let metric = |name: &str| {

@@ -14,13 +14,32 @@
 //! The same save/load/verify discipline as [`SocSnapshot`] applies: every
 //! part is FNV-hashed at capture, re-checked at load, and folded into one
 //! [`FleetSnapshot::state_hash`] suitable for bit-identical replay proofs.
+//! A live fleet hashes itself with the same fold ([`fleet_state_hash`]),
+//! so it and its snapshot agree by construction.
 
-use crate::hash::{extend_fnv1a64, fnv1a64};
-use crate::snapshot::{SnapshotIoError, SocSnapshot};
+use crate::hash::{fnv1a64, fold_parts};
+use crate::snapshot::{check_version, read_json, save_json, SnapshotIoError, SocSnapshot};
+use crate::SNAPSHOT_VERSION;
 use std::path::Path;
 
 /// Fleet snapshot format version; bump on incompatible layout changes.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 1;
+pub const FLEET_SNAPSHOT_VERSION: u32 = 2;
+
+/// Name under which the fabric blob is hashed and reported.
+const FABRIC: &str = "fleet/fabric";
+
+/// One hash over a fleet: the fleet cycle, then every member's name and
+/// device state hash in fleet order, then the fabric blob's content hash.
+/// [`FleetSnapshot::state_hash`] folds its members' snapshot hashes with
+/// it; a live fleet folds [`crate::device_state_hash`] of each device, and
+/// gets the same value without capturing anything.
+pub fn fleet_state_hash<'a>(
+    cycle: u64,
+    members: impl IntoIterator<Item = (&'a str, u64)>,
+    fabric_hash: u64,
+) -> u64 {
+    fold_parts(cycle, members.into_iter().chain([(FABRIC, fabric_hash)]))
+}
 
 /// A versioned snapshot of a set of named devices plus their connecting
 /// fabric, captured at one fleet cycle.
@@ -73,17 +92,17 @@ impl FleetSnapshot {
         &self.fabric_json
     }
 
-    /// One hash over the whole fleet: the capture cycle, then every
-    /// member's name and [`SocSnapshot::state_hash`] in order, then the
-    /// fabric blob's content hash. Two fleets with this hash equal are in
-    /// bit-identical snapshot-visible state.
+    /// One hash over the whole fleet ([`fleet_state_hash`] over every
+    /// member's [`SocSnapshot::state_hash`]). Two fleets with this hash
+    /// equal are in bit-identical snapshot-visible state.
     pub fn state_hash(&self) -> u64 {
-        let mut h = extend_fnv1a64(0xcbf2_9ce4_8422_2325, &self.cycle.to_le_bytes());
-        for (name, snap) in &self.members {
-            h = extend_fnv1a64(h, name.as_bytes());
-            h = extend_fnv1a64(h, &snap.state_hash().to_le_bytes());
-        }
-        extend_fnv1a64(h, &self.fabric_hash.to_le_bytes())
+        fleet_state_hash(
+            self.cycle,
+            self.members
+                .iter()
+                .map(|(n, s)| (n.as_str(), s.state_hash())),
+            self.fabric_hash,
+        )
     }
 
     /// Accounting size: the sum of member snapshot sizes plus the fabric
@@ -110,7 +129,7 @@ impl FleetSnapshot {
         let found = fnv1a64(self.fabric_json.as_bytes());
         if found != self.fabric_hash {
             return Err(SnapshotIoError::Corrupt {
-                component: "fleet/fabric".to_string(),
+                component: FABRIC.to_string(),
                 expected: self.fabric_hash,
                 found,
             });
@@ -118,49 +137,31 @@ impl FleetSnapshot {
         Ok(())
     }
 
-    /// Writes the fleet snapshot as JSON to `path`, creating parents.
+    /// Writes the fleet snapshot as JSON to `path` with
+    /// [`crate::write_json_atomic`].
     ///
     /// # Errors
     ///
-    /// [`SnapshotIoError::Json`] or [`SnapshotIoError::Io`].
+    /// [`SnapshotIoError::Io`].
     pub fn save(&self, path: &Path) -> Result<(), SnapshotIoError> {
-        let json = serde_json::to_string(self).map_err(|source| SnapshotIoError::Json {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let io_err = |source| SnapshotIoError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).map_err(io_err)?;
-        }
-        std::fs::write(path, json).map_err(io_err)
+        save_json(path, self)
     }
 
-    /// Reads a fleet snapshot back, checking the format version and every
-    /// recorded hash.
+    /// Reads a fleet snapshot back, checking the fleet's and every
+    /// member's format version and every recorded hash — a fleet that
+    /// survives `load` restores without panicking on version grounds.
     ///
     /// # Errors
     ///
     /// [`SnapshotIoError::Io`] / [`SnapshotIoError::Json`] on unreadable
     /// or malformed files, [`SnapshotIoError::Version`] on an incompatible
-    /// format, [`SnapshotIoError::Corrupt`] on hash mismatches.
+    /// fleet or member format, [`SnapshotIoError::Corrupt`] on hash
+    /// mismatches.
     pub fn load(path: &Path) -> Result<FleetSnapshot, SnapshotIoError> {
-        let json = std::fs::read_to_string(path).map_err(|source| SnapshotIoError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let snap: FleetSnapshot =
-            serde_json::from_str(&json).map_err(|source| SnapshotIoError::Json {
-                path: path.to_path_buf(),
-                source,
-            })?;
-        if snap.version != FLEET_SNAPSHOT_VERSION {
-            return Err(SnapshotIoError::Version {
-                found: snap.version,
-                expected: FLEET_SNAPSHOT_VERSION,
-            });
+        let snap: FleetSnapshot = read_json(path)?;
+        check_version(snap.version, FLEET_SNAPSHOT_VERSION)?;
+        for (_, member) in &snap.members {
+            check_version(member.version(), SNAPSHOT_VERSION)?;
         }
         snap.verify_integrity()?;
         Ok(snap)
@@ -232,6 +233,33 @@ mod tests {
                 assert_eq!(component, "fleet/fabric");
             }
             other => panic!("expected Corrupt error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn member_with_a_stale_version_is_rejected_at_load() {
+        let fleet = two_member_fleet();
+        let path = temp_path("member-version.json");
+        fleet.save(&path).expect("save");
+        // Rewrite the second member's snapshot version on disk; the fleet
+        // version stays current.
+        let json = std::fs::read_to_string(&path).unwrap();
+        let member_version = format!("\"version\":{SNAPSHOT_VERSION},");
+        let at = json.rfind(&member_version).expect("member version field");
+        let stale = format!(
+            "{}\"version\":{},{}",
+            &json[..at],
+            SNAPSHOT_VERSION - 1,
+            &json[at + member_version.len()..]
+        );
+        std::fs::write(&path, stale).unwrap();
+        match FleetSnapshot::load(&path) {
+            Err(SnapshotIoError::Version { found, expected }) => {
+                assert_eq!(found, SNAPSHOT_VERSION - 1);
+                assert_eq!(expected, SNAPSHOT_VERSION);
+            }
+            other => panic!("expected Version error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }

@@ -5,7 +5,6 @@
 //! these hashes detect divergence, they are not cryptographic.
 
 use mcds_psi::Device;
-use mcds_soc::soc::MemoryId;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -27,22 +26,29 @@ pub fn extend_fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The snapshot hash fold: a cycle, then each part's name and content
+/// hash in order. Device snapshots fold their components with it, fleets
+/// their members.
+pub(crate) fn fold_parts<'a>(cycle: u64, parts: impl IntoIterator<Item = (&'a str, u64)>) -> u64 {
+    parts.into_iter().fold(
+        extend_fnv1a64(FNV_OFFSET, &cycle.to_le_bytes()),
+        |h, (name, hash)| extend_fnv1a64(extend_fnv1a64(h, name.as_bytes()), &hash.to_le_bytes()),
+    )
+}
+
 /// Hashes a device's complete architectural state: the serialized runtime
 /// state (CPU registers and pipeline, bus, MCDS, sink, links, service core)
-/// plus every fitted memory image.
+/// plus every fitted memory image, folded exactly as
+/// [`crate::SocSnapshot::state_hash`] folds a snapshot's components — so
+/// `device_state_hash(dev) == SocSnapshot::capture(dev).state_hash()`,
+/// without copying any memory.
 ///
 /// Two devices with equal hashes are observably indistinguishable; replay
 /// verification compares this hash between the original and re-executed run.
 pub fn device_state_hash(dev: &Device) -> u64 {
-    let state =
-        serde_json::to_string(&dev.save_state()).expect("device state serializes infallibly");
-    let mut hash = fnv1a64(state.as_bytes());
-    for id in [MemoryId::Flash, MemoryId::Sram, MemoryId::Emem] {
-        if let Some(image) = dev.soc().memory_image(id) {
-            hash = extend_fnv1a64(hash, &image);
-        }
-    }
-    hash
+    let mut parts = Vec::with_capacity(4);
+    crate::snapshot::walk(dev, |name, bytes| parts.push((name, fnv1a64(bytes))));
+    fold_parts(dev.soc().cycle(), parts)
 }
 
 /// The raw encoded trace bytes currently stored in the device's trace sink,

@@ -10,7 +10,8 @@
 //!
 //! * [`snapshot`] — versioned, content-hashed snapshots of the whole
 //!   device ([`SocSnapshot`]): structured runtime state plus raw memory
-//!   images, with byte-run delta compression against a parent snapshot;
+//!   images, one `{name, hash, bytes}` component each, written to disk
+//!   atomically ([`write_json_atomic`]);
 //! * [`log`] — the record-replay input log ([`InputLog`]): every
 //!   nondeterministic input (sensor stimulus, trigger pins, link fault
 //!   plans, host debug commands) stamped with its apply cycle, so
@@ -21,7 +22,8 @@
 //!   re-executing forward;
 //! * [`hash`] — FNV-1a content hashing and the canonical
 //!   [`device_state_hash`] used to verify that a replayed run converged
-//!   on the original, bit for bit;
+//!   on the original, bit for bit — by construction equal to the
+//!   [`SocSnapshot::state_hash`] of a snapshot captured at that point;
 //! * [`repro`] — self-contained failure repro artifacts
 //!   ([`ReproArtifact`]): a shrunk scenario, its input log and expected
 //!   final state hash serialized to one JSON file that `cargo test` can
@@ -65,8 +67,8 @@ pub mod repro;
 pub mod snapshot;
 
 pub use checkpoint::{Checkpoint, CheckpointRing};
-pub use fleet::{FleetSnapshot, FLEET_SNAPSHOT_VERSION};
+pub use fleet::{fleet_state_hash, FleetSnapshot, FLEET_SNAPSHOT_VERSION};
 pub use hash::{device_state_hash, extend_fnv1a64, fnv1a64, trace_bytes};
 pub use log::{run_with_events, run_with_events_into, InputEvent, InputLog, Replayer};
 pub use repro::{ReproArtifact, ReproError, REPRO_VERSION};
-pub use snapshot::{Component, DeltaOp, Payload, SnapshotIoError, SocSnapshot, SNAPSHOT_VERSION};
+pub use snapshot::{write_json_atomic, Component, SnapshotIoError, SocSnapshot, SNAPSHOT_VERSION};

@@ -21,7 +21,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Artifact format version; bumped on incompatible layout changes.
-pub const REPRO_VERSION: u32 = 2;
+pub const REPRO_VERSION: u32 = 3;
 
 /// A serializable, replayable description of one failing run.
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone)]
@@ -178,31 +178,19 @@ impl ReproArtifact {
         Ok(artifact)
     }
 
-    /// Writes the artifact as JSON to `path`, creating parent directories.
+    /// Writes the artifact as JSON to `path` with
+    /// [`crate::write_json_atomic`].
     ///
     /// # Errors
     ///
-    /// [`ReproError::Io`] or [`ReproError::Json`]; never panics.
+    /// [`ReproError::Io`]; never panics.
     pub fn save(&self, path: &Path) -> Result<(), ReproError> {
-        let json = self.to_json().map_err(|e| match e {
-            ReproError::Json { source, .. } => ReproError::Json {
+        crate::write_json_atomic(path, self)
+            .map(drop)
+            .map_err(|source| ReproError::Io {
                 path: path.to_path_buf(),
                 source,
-            },
-            other => other,
-        })?;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|source| ReproError::Io {
-                    path: parent.to_path_buf(),
-                    source,
-                })?;
-            }
-        }
-        std::fs::write(path, json).map_err(|source| ReproError::Io {
-            path: path.to_path_buf(),
-            source,
-        })
+            })
     }
 
     /// Reads an artifact back from `path`.

@@ -1,22 +1,24 @@
-//! Versioned device snapshots with per-component content hashes and
-//! delta compression against a parent snapshot.
+//! Versioned device snapshots with per-component content hashes.
 //!
-//! A [`SocSnapshot`] is a named set of [`Component`]s:
+//! A [`SocSnapshot`] is a list of named [`Component`]s, each
+//! `{name, hash, bytes}`, in the order of one walk over the device:
 //!
 //! * `device/state` — the serialized [`mcds_psi::DeviceState`]: CPU
 //!   registers and pipelines, bus arbiter and in-flight transactions, DMA,
 //!   overlay mapper, peripherals, MCDS trigger/trace units, cross-trigger
 //!   matrix, FIFOs, trace sink, link statistics, service core and fault
 //!   injectors;
-//! * `soc/flash`, `soc/sram`, `soc/emem` — raw memory images, kept separate
-//!   from the structured state so the megabyte-class memories can be
-//!   delta-compressed against a parent snapshot (they change slowly, while
-//!   the structured state churns every cycle).
+//! * `soc/flash`, `soc/sram`, `soc/emem` — the raw image of every fitted
+//!   memory, kept apart from the structured state so the megabyte-class
+//!   memories are borrowed and hashed as bytes, never serialized as state.
 //!
-//! Every component carries an FNV-1a hash of its raw contents, computed at
-//! capture time and re-checked when a delta chain is materialized.
+//! Every component carries an FNV-1a hash of its bytes, computed at
+//! capture time and re-checked at load. The same walk feeds
+//! [`crate::device_state_hash`], which folds the hashes exactly as
+//! [`SocSnapshot::state_hash`] does: a device and its snapshot hash equal
+//! by construction.
 
-use crate::hash::fnv1a64;
+use crate::hash::{fnv1a64, fold_parts};
 use mcds_psi::{Device, DeviceState};
 use mcds_soc::soc::MemoryId;
 use std::fmt;
@@ -25,12 +27,90 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot format version; bump on any incompatible change to the
 /// component set or encodings.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Merge two difference runs into one [`DeltaOp`] when the gap of equal
-/// bytes between them is at most this long — one op's framing overhead
-/// outweighs re-sending a few unchanged bytes.
-const DELTA_MERGE_GAP: usize = 16;
+/// Name of the structured-state component.
+const DEVICE_STATE: &str = "device/state";
+
+/// The memory components, in walk order: the one table mapping component
+/// names to memories, shared by capture, restore and hashing.
+const MEMORIES: [(&str, MemoryId); 3] = [
+    ("soc/flash", MemoryId::Flash),
+    ("soc/sram", MemoryId::Sram),
+    ("soc/emem", MemoryId::Emem),
+];
+
+/// Visits the device's snapshot components in canonical order — the
+/// serialized `device/state`, then each fitted memory, borrowed — handing
+/// each name and its bytes to `visit`.
+pub(crate) fn walk(dev: &Device, mut visit: impl FnMut(&'static str, &[u8])) {
+    let state =
+        serde_json::to_string(&dev.save_state()).expect("device state serializes infallibly");
+    visit(DEVICE_STATE, state.as_bytes());
+    for (name, id) in MEMORIES {
+        if let Some(image) = dev.soc().memory_image(id) {
+            visit(name, image);
+        }
+    }
+}
+
+/// Serializes `value` as JSON and writes it to `path` atomically: the
+/// parent directory is created, the JSON goes to a sibling `*.tmp` file,
+/// and a `rename` moves it into place, so a reader sees the old file or
+/// the new one, never a torn write. Returns the number of bytes written.
+/// Nothing is `fsync`ed: the guarantee covers failed writes and
+/// concurrent readers, not a host crash.
+///
+/// # Errors
+///
+/// Any I/O failure (a serialization failure surfaces as
+/// [`io::ErrorKind::InvalidData`]); the temp file is removed on failure.
+pub fn write_json_atomic(path: &Path, value: &impl serde::Serialize) -> io::Result<usize> {
+    let json =
+        serde_json::to_string(value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, &json).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written.map(|()| json.len())
+}
+
+/// [`write_json_atomic`], reporting a failure as [`SnapshotIoError::Io`].
+pub(crate) fn save_json(path: &Path, value: &impl serde::Serialize) -> Result<(), SnapshotIoError> {
+    write_json_atomic(path, value)
+        .map(drop)
+        .map_err(|source| SnapshotIoError::Io {
+            path: path.to_path_buf(),
+            source,
+        })
+}
+
+/// Reads and parses a JSON file, reporting failures as typed errors.
+pub(crate) fn read_json<T: serde::de::DeserializeOwned>(path: &Path) -> Result<T, SnapshotIoError> {
+    let json = std::fs::read_to_string(path).map_err(|source| SnapshotIoError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    serde_json::from_str(&json).map_err(|source| SnapshotIoError::Json {
+        path: path.to_path_buf(),
+        source,
+    })
+}
+
+/// A typed [`SnapshotIoError::Version`] unless `found == expected`.
+pub(crate) fn check_version(found: u32, expected: u32) -> Result<(), SnapshotIoError> {
+    if found == expected {
+        Ok(())
+    } else {
+        Err(SnapshotIoError::Version { found, expected })
+    }
+}
 
 /// A typed error from persisting or loading a snapshot, or from an
 /// integrity check over its contents.
@@ -46,11 +126,11 @@ pub enum SnapshotIoError {
         /// The underlying I/O error.
         source: io::Error,
     },
-    /// The snapshot failed to (de)serialize.
+    /// The snapshot failed to parse.
     Json {
-        /// The path involved (empty for in-memory round trips).
+        /// The path involved.
         path: PathBuf,
-        /// The underlying serialization error.
+        /// The underlying parse error.
         source: serde_json::Error,
     },
     /// The snapshot was written by an incompatible format version.
@@ -107,68 +187,37 @@ impl std::error::Error for SnapshotIoError {
     }
 }
 
-/// A contiguous byte-range replacement within a component image.
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq, Eq)]
-pub struct DeltaOp {
-    /// Byte offset into the image.
-    pub offset: u64,
-    /// Replacement bytes.
-    pub bytes: Vec<u8>,
-}
-
-/// How a component's contents are stored in a snapshot.
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq, Eq)]
-pub enum Payload {
-    /// The full contents.
-    Raw(Vec<u8>),
-    /// Byte-range replacements against the same-named component of the
-    /// parent snapshot (which must have identical length).
-    Delta {
-        /// Total image length (must match the parent's).
-        len: u64,
-        /// Replacements, sorted by offset, non-overlapping.
-        ops: Vec<DeltaOp>,
-    },
-    /// Bit-identical to the parent's component (hashes matched).
-    Same,
-}
-
-impl Payload {
-    /// The bytes this payload actually stores (content bytes plus 12 bytes
-    /// of framing per delta op) — the size metric the T9 experiment reports
-    /// for raw-versus-delta comparisons without paying for full JSON
-    /// serialization.
-    pub fn stored_bytes(&self) -> usize {
-        match self {
-            Payload::Raw(b) => b.len(),
-            Payload::Delta { ops, .. } => ops.iter().map(|op| op.bytes.len() + 12).sum(),
-            Payload::Same => 0,
-        }
-    }
-}
-
-/// One named, hashed piece of device state.
+/// One named, hashed piece of device state: its bytes and their FNV-1a
+/// hash.
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     name: String,
     hash: u64,
-    payload: Payload,
+    bytes: Vec<u8>,
 }
 
 impl Component {
+    fn new(name: &str, bytes: Vec<u8>) -> Component {
+        Component {
+            name: name.to_string(),
+            hash: fnv1a64(&bytes),
+            bytes,
+        }
+    }
+
     /// The component's name (e.g. `soc/sram`).
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// FNV-1a hash of the component's full (materialized) contents.
+    /// FNV-1a hash of the component's bytes, recorded at capture time.
     pub fn hash(&self) -> u64 {
         self.hash
     }
 
-    /// How the contents are stored.
-    pub fn payload(&self) -> &Payload {
-        &self.payload
+    /// The component's contents.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
@@ -181,22 +230,14 @@ pub struct SocSnapshot {
 }
 
 impl SocSnapshot {
-    /// Captures a full (all-raw) snapshot of the device.
+    /// Captures a snapshot of the device: a copy of every component the
+    /// device walk yields.
     pub fn capture(dev: &Device) -> SocSnapshot {
         let span_t0 = dev.telemetry().map(|_| std::time::Instant::now());
-        let mut components = Vec::with_capacity(4);
-        let state =
-            serde_json::to_string(&dev.save_state()).expect("device state serializes infallibly");
-        components.push(raw_component("device/state", state.into_bytes()));
-        for (name, id) in [
-            ("soc/flash", MemoryId::Flash),
-            ("soc/sram", MemoryId::Sram),
-            ("soc/emem", MemoryId::Emem),
-        ] {
-            if let Some(image) = dev.soc().memory_image(id) {
-                components.push(raw_component(name, image));
-            }
-        }
+        let mut components = Vec::with_capacity(1 + MEMORIES.len());
+        walk(dev, |name, bytes| {
+            components.push(Component::new(name, bytes.to_vec()))
+        });
         let cycle = dev.soc().cycle();
         if let (Some(t0), Some(tel)) = (span_t0, dev.telemetry()) {
             tel.span(
@@ -223,7 +264,7 @@ impl SocSnapshot {
         self.cycle
     }
 
-    /// The snapshot's components.
+    /// The snapshot's components, in walk order.
     pub fn components(&self) -> &[Component] {
         &self.components
     }
@@ -233,116 +274,15 @@ impl SocSnapshot {
         self.components.iter().find(|c| c.name == name)
     }
 
-    /// True when every component stores its full contents (no parent
-    /// needed to restore).
-    pub fn is_raw(&self) -> bool {
-        self.components
-            .iter()
-            .all(|c| matches!(c.payload, Payload::Raw(_)))
-    }
-
-    /// Re-encodes this (raw) snapshot as a delta against `parent` (also
-    /// raw): components whose hashes match the parent become [`Payload::Same`],
-    /// equal-length components become byte-run [`Payload::Delta`]s, and
-    /// anything without a usable parent counterpart stays raw. Hashes and
-    /// cycle are preserved, so [`SocSnapshot::state_hash`] is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not raw (delta chains deeper than one level are
-    /// not supported; materialize first).
-    pub fn delta_from(&self, parent: &SocSnapshot) -> SocSnapshot {
-        let components = self
-            .components
-            .iter()
-            .map(|c| {
-                let Payload::Raw(bytes) = &c.payload else {
-                    panic!("delta_from requires a raw snapshot (component {})", c.name);
-                };
-                let payload = match parent.component(&c.name) {
-                    Some(p) if p.hash == c.hash => Payload::Same,
-                    Some(Component {
-                        payload: Payload::Raw(parent_bytes),
-                        ..
-                    }) if parent_bytes.len() == bytes.len() => Payload::Delta {
-                        len: bytes.len() as u64,
-                        ops: diff_runs(parent_bytes, bytes),
-                    },
-                    _ => Payload::Raw(bytes.clone()),
-                };
-                Component {
-                    name: c.name.clone(),
-                    hash: c.hash,
-                    payload,
-                }
-            })
-            .collect();
-        SocSnapshot {
-            version: self.version,
-            cycle: self.cycle,
-            components,
-        }
-    }
-
-    /// Resolves `Same`/`Delta` payloads against `parent` and returns a raw
-    /// snapshot. Raw snapshots pass through unchanged (parent unused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-raw component has no raw parent counterpart, or if a
-    /// reconstructed component fails its recorded content hash.
-    pub fn materialize(&self, parent: Option<&SocSnapshot>) -> SocSnapshot {
-        let components = self
-            .components
-            .iter()
-            .map(|c| {
-                let bytes = match &c.payload {
-                    Payload::Raw(b) => b.clone(),
-                    Payload::Same => parent_raw(parent, &c.name).to_vec(),
-                    Payload::Delta { len, ops } => {
-                        let mut bytes = parent_raw(parent, &c.name).to_vec();
-                        assert_eq!(
-                            bytes.len() as u64,
-                            *len,
-                            "delta length mismatch for component {}",
-                            c.name
-                        );
-                        for op in ops {
-                            let start = op.offset as usize;
-                            bytes[start..start + op.bytes.len()].copy_from_slice(&op.bytes);
-                        }
-                        bytes
-                    }
-                };
-                assert_eq!(
-                    fnv1a64(&bytes),
-                    c.hash,
-                    "content hash mismatch materializing component {}",
-                    c.name
-                );
-                Component {
-                    name: c.name.clone(),
-                    hash: c.hash,
-                    payload: Payload::Raw(bytes),
-                }
-            })
-            .collect();
-        SocSnapshot {
-            version: self.version,
-            cycle: self.cycle,
-            components,
-        }
-    }
-
-    /// Restores this (raw) snapshot onto a device built with the identical
+    /// Restores this snapshot onto a device built with the identical
     /// configuration: memory images first, then the structured runtime
     /// state.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot is not raw, the format version is unknown,
-    /// or the device's configuration does not structurally match (wrong
-    /// core count, memory sizes, fitted options).
+    /// Panics if the format version is unknown, or the device's
+    /// configuration does not structurally match (wrong core count, memory
+    /// sizes, fitted options).
     pub fn restore_into(&self, dev: &mut Device) {
         assert_eq!(
             self.version, SNAPSHOT_VERSION,
@@ -351,25 +291,15 @@ impl SocSnapshot {
         // Telemetry lives outside DeviceState, so the attachment (and this
         // span) survives the restore itself.
         let span_t0 = dev.telemetry().map(|_| std::time::Instant::now());
-        for (name, id) in [
-            ("soc/flash", MemoryId::Flash),
-            ("soc/sram", MemoryId::Sram),
-            ("soc/emem", MemoryId::Emem),
-        ] {
+        for (name, id) in MEMORIES {
             if let Some(c) = self.component(name) {
-                let Payload::Raw(image) = &c.payload else {
-                    panic!("restore_into requires a raw snapshot (component {name})");
-                };
-                dev.soc_mut().restore_memory_image(id, image);
+                dev.soc_mut().restore_memory_image(id, &c.bytes);
             }
         }
         let c = self
-            .component("device/state")
+            .component(DEVICE_STATE)
             .expect("snapshot has a device/state component");
-        let Payload::Raw(bytes) = &c.payload else {
-            panic!("restore_into requires a raw snapshot (component device/state)");
-        };
-        let json = std::str::from_utf8(bytes).expect("device state is UTF-8 JSON");
+        let json = std::str::from_utf8(&c.bytes).expect("device state is UTF-8 JSON");
         let state: DeviceState = serde_json::from_str(json).expect("device state deserializes");
         dev.restore_state(&state);
         if let (Some(t0), Some(tel)) = (span_t0, dev.telemetry()) {
@@ -383,88 +313,52 @@ impl SocSnapshot {
     }
 
     /// A single hash summarizing the whole snapshot: the capture cycle plus
-    /// every component's name and content hash, in capture order. Stable
-    /// across delta encoding and materialization.
+    /// every component's name and content hash, in walk order. Equal to
+    /// [`crate::device_state_hash`] of the captured device.
     pub fn state_hash(&self) -> u64 {
-        let mut h = crate::hash::extend_fnv1a64(0xcbf2_9ce4_8422_2325, &self.cycle.to_le_bytes());
-        for c in &self.components {
-            h = crate::hash::extend_fnv1a64(h, c.name.as_bytes());
-            h = crate::hash::extend_fnv1a64(h, &c.hash.to_le_bytes());
-        }
-        h
-    }
-
-    /// Total content bytes stored across all components (see
-    /// [`Payload::stored_bytes`]) — the cheap size metric used when
-    /// comparing raw against delta snapshots.
-    pub fn stored_bytes(&self) -> usize {
-        self.components
-            .iter()
-            .map(|c| c.payload.stored_bytes())
-            .sum()
-    }
-
-    /// The exact size of the snapshot serialized to JSON. Exercises the
-    /// full persistence path and is accordingly much more expensive than
-    /// [`SocSnapshot::stored_bytes`].
-    pub fn serialized_size(&self) -> usize {
-        serde_json::to_string(self)
-            .expect("snapshot serializes infallibly")
-            .len()
+        fold_parts(
+            self.cycle,
+            self.components.iter().map(|c| (c.name.as_str(), c.hash)),
+        )
     }
 
     /// An accounting size for the snapshot held in memory: content bytes
     /// plus per-component framing (name and hash). This is what memory
-    /// budgets (the farm's eviction policy) charge per resident snapshot.
+    /// budgets charge per resident snapshot; the JSON on disk is larger.
     pub fn size_bytes(&self) -> usize {
         self.components
             .iter()
-            .map(|c| c.name.len() + 8 + c.payload.stored_bytes())
+            .map(|c| c.name.len() + 8 + c.bytes.len())
             .sum()
     }
 
-    /// Recomputes every raw component's content hash and checks it against
-    /// the hash recorded at capture time. `Delta`/`Same` payloads are
-    /// skipped (their hashes are checked when materialized against a
-    /// parent).
+    /// Recomputes every component's content hash and checks it against the
+    /// hash recorded at capture time.
     ///
     /// # Errors
     ///
     /// [`SnapshotIoError::Corrupt`] naming the first failing component.
     pub fn verify_integrity(&self) -> Result<(), SnapshotIoError> {
         for c in &self.components {
-            if let Payload::Raw(bytes) = &c.payload {
-                let found = fnv1a64(bytes);
-                if found != c.hash {
-                    return Err(SnapshotIoError::Corrupt {
-                        component: c.name.clone(),
-                        expected: c.hash,
-                        found,
-                    });
-                }
+            let found = fnv1a64(&c.bytes);
+            if found != c.hash {
+                return Err(SnapshotIoError::Corrupt {
+                    component: c.name.clone(),
+                    expected: c.hash,
+                    found,
+                });
             }
         }
         Ok(())
     }
 
-    /// Writes the snapshot as JSON to `path`, creating parent directories.
+    /// Writes the snapshot as JSON to `path` with [`write_json_atomic`].
     ///
     /// # Errors
     ///
-    /// [`SnapshotIoError::Json`] or [`SnapshotIoError::Io`].
+    /// [`SnapshotIoError::Io`].
     pub fn save(&self, path: &Path) -> Result<(), SnapshotIoError> {
-        let json = serde_json::to_string(self).map_err(|source| SnapshotIoError::Json {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let io_err = |source| SnapshotIoError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).map_err(io_err)?;
-        }
-        std::fs::write(path, json).map_err(io_err)
+        save_json(path, self)
     }
 
     /// Reads a snapshot back from `path`, checking the format version and
@@ -478,137 +372,24 @@ impl SocSnapshot {
     /// format, [`SnapshotIoError::Corrupt`] when contents fail their
     /// recorded hash.
     pub fn load(path: &Path) -> Result<SocSnapshot, SnapshotIoError> {
-        let json = std::fs::read_to_string(path).map_err(|source| SnapshotIoError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let snap: SocSnapshot =
-            serde_json::from_str(&json).map_err(|source| SnapshotIoError::Json {
-                path: path.to_path_buf(),
-                source,
-            })?;
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(SnapshotIoError::Version {
-                found: snap.version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
+        let snap: SocSnapshot = read_json(path)?;
+        check_version(snap.version, SNAPSHOT_VERSION)?;
         snap.verify_integrity()?;
         Ok(snap)
     }
-}
-
-fn raw_component(name: &str, bytes: Vec<u8>) -> Component {
-    Component {
-        name: name.to_string(),
-        hash: fnv1a64(&bytes),
-        payload: Payload::Raw(bytes),
-    }
-}
-
-fn parent_raw<'a>(parent: Option<&'a SocSnapshot>, name: &str) -> &'a [u8] {
-    let parent = parent.unwrap_or_else(|| panic!("component {name} needs a parent snapshot"));
-    match parent.component(name) {
-        Some(Component {
-            payload: Payload::Raw(bytes),
-            ..
-        }) => bytes,
-        Some(_) => panic!("parent component {name} is not raw; materialize the parent first"),
-        None => panic!("parent snapshot lacks component {name}"),
-    }
-}
-
-/// Computes byte-run replacements turning `parent` into `child` (equal
-/// lengths). Runs separated by short equal gaps are merged.
-fn diff_runs(parent: &[u8], child: &[u8]) -> Vec<DeltaOp> {
-    debug_assert_eq!(parent.len(), child.len());
-    let mut ops: Vec<DeltaOp> = Vec::new();
-    let mut i = 0;
-    while i < child.len() {
-        if parent[i] == child[i] {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        let mut end = i + 1;
-        // Extend the run across difference bytes, absorbing equal gaps of
-        // at most DELTA_MERGE_GAP bytes.
-        let mut j = end;
-        while j < child.len() {
-            if parent[j] != child[j] {
-                j += 1;
-                end = j;
-            } else {
-                let gap_start = j;
-                while j < child.len() && parent[j] == child[j] && j - gap_start < DELTA_MERGE_GAP {
-                    j += 1;
-                }
-                if j < child.len() && parent[j] != child[j] {
-                    continue; // gap was short; keep extending the same op
-                }
-                break;
-            }
-        }
-        ops.push(DeltaOp {
-            offset: start as u64,
-            bytes: child[start..end].to_vec(),
-        });
-        i = end;
-    }
-    ops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn apply(parent: &[u8], ops: &[DeltaOp]) -> Vec<u8> {
-        let mut out = parent.to_vec();
-        for op in ops {
-            let s = op.offset as usize;
-            out[s..s + op.bytes.len()].copy_from_slice(&op.bytes);
-        }
-        out
-    }
-
-    #[test]
-    fn diff_roundtrips_arbitrary_changes() {
-        let parent: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        let mut child = parent.clone();
-        child[0] = 0xFF;
-        child[100..104].copy_from_slice(&[1, 2, 3, 4]);
-        child[110] ^= 0x80; // within merge gap of the previous run
-        child[4095] = 0xAA;
-        let ops = diff_runs(&parent, &child);
-        assert_eq!(apply(&parent, &ops), child);
-        // The 100..104 and 110 changes merge into one op (gap of 6 < 16).
-        assert_eq!(ops.len(), 3, "{ops:?}");
-    }
-
-    #[test]
-    fn diff_of_identical_images_is_empty() {
-        let img = vec![7u8; 1000];
-        assert!(diff_runs(&img, &img).is_empty());
-    }
-
-    #[test]
-    fn diff_handles_trailing_difference() {
-        let parent = vec![0u8; 64];
-        let mut child = parent.clone();
-        for b in child[60..].iter_mut() {
-            *b = 9;
-        }
-        let ops = diff_runs(&parent, &child);
-        assert_eq!(apply(&parent, &ops), child);
-    }
-
     fn synthetic_snapshot() -> SocSnapshot {
         SocSnapshot {
             version: SNAPSHOT_VERSION,
             cycle: 1234,
             components: vec![
-                raw_component("device/state", b"{\"fake\":true}".to_vec()),
-                raw_component("soc/sram", (0..512u32).map(|i| (i % 7) as u8).collect()),
+                Component::new(DEVICE_STATE, b"{\"fake\":true}".to_vec()),
+                Component::new(MEMORIES[1].0, (0..512u32).map(|i| (i % 7) as u8).collect()),
             ],
         }
     }
@@ -634,14 +415,13 @@ mod tests {
         let mut snap = synthetic_snapshot();
         // Flip a content byte without updating the recorded hash — exactly
         // what on-disk corruption between save and load looks like.
-        let Payload::Raw(bytes) = &mut snap.components[1].payload else {
-            unreachable!()
-        };
-        bytes[17] ^= 0x40;
+        snap.components[1].bytes[17] ^= 0x40;
         let path = temp_path("corrupt.json");
         snap.save(&path).expect("save");
         match SocSnapshot::load(&path) {
-            Err(SnapshotIoError::Corrupt { component, .. }) => assert_eq!(component, "soc/sram"),
+            Err(SnapshotIoError::Corrupt { component, .. }) => {
+                assert_eq!(component, MEMORIES[1].0)
+            }
             other => panic!("expected Corrupt error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
@@ -661,5 +441,24 @@ mod tests {
             other => panic!("expected Version error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn atomic_write_replaces_an_existing_file_without_leaving_a_temp() {
+        let dir = temp_path("atomic-dir");
+        let path = dir.join("snap.json");
+        let big = synthetic_snapshot();
+        big.save(&path).expect("first save");
+        let mut small = big.clone();
+        small.components.truncate(1);
+        let written = write_json_atomic(&path, &small).expect("overwrite");
+        assert_eq!(written as u64, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(SocSnapshot::load(&path).expect("load"), small);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("snap.json")]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -91,14 +91,15 @@ fn state_json(dev: &Device) -> String {
 }
 
 /// Runs a fresh gearbox device under `log`, snapshotting every
-/// `every` cycles up to `total`.
-fn checkpointed_run(log: &InputLog, every: u64, total: u64) -> Vec<SocSnapshot> {
+/// `every` cycles up to `total`. Each snapshot is paired with the live
+/// device's [`device_state_hash`] at the same point.
+fn checkpointed_run(log: &InputLog, every: u64, total: u64) -> Vec<(SocSnapshot, u64)> {
     let mut dev = gearbox_device();
     let mut rep = Replayer::new(log);
     let mut snaps = Vec::new();
     while dev.soc().cycle() < total {
         if dev.soc().cycle().is_multiple_of(every) {
-            snaps.push(SocSnapshot::capture(&dev));
+            snaps.push((SocSnapshot::capture(&dev), device_state_hash(&dev)));
         }
         rep.apply_due(&mut dev);
         if dev.soc().cycle() >= total {
@@ -106,7 +107,7 @@ fn checkpointed_run(log: &InputLog, every: u64, total: u64) -> Vec<SocSnapshot> 
         }
         dev.step();
     }
-    snaps.push(SocSnapshot::capture(&dev));
+    snaps.push((SocSnapshot::capture(&dev), device_state_hash(&dev)));
     snaps
 }
 
@@ -114,7 +115,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Two runs from the same stimulus are byte-identical at every
-    /// checkpoint — not merely hash-equal.
+    /// checkpoint — not merely hash-equal — and at every checkpoint the
+    /// live device hash is the snapshot's own hash.
     #[test]
     fn runs_bit_identical_at_every_checkpoint(
         from in 0u32..40,
@@ -146,7 +148,9 @@ proptest! {
         let a = checkpointed_run(&log, 500, TOTAL);
         let b = checkpointed_run(&log, 500, TOTAL);
         prop_assert_eq!(a.len(), b.len());
-        for (sa, sb) in a.iter().zip(&b) {
+        for ((sa, ha), (sb, hb)) in a.iter().zip(&b) {
+            prop_assert_eq!(sa.state_hash(), *ha);
+            prop_assert_eq!(sb.state_hash(), *hb);
             prop_assert_eq!(sa.cycle(), sb.cycle());
             prop_assert_eq!(sa.state_hash(), sb.state_hash());
             let ja = serde_json::to_string(sa).expect("snapshot serializes");

@@ -509,8 +509,8 @@ impl SocBuilder {
 /// overlay mapper's mapping state, the DMA engine and the debug-master
 /// completion latch. Memory images (flash, SRAM, emulation RAM) are large
 /// and are captured separately via [`Soc::memory_image`] /
-/// [`Soc::restore_memory_image`], so snapshot layers can hash and
-/// delta-compress them as raw byte components.
+/// [`Soc::restore_memory_image`], so snapshot layers can hash and store
+/// them as raw byte components without serializing them.
 ///
 /// Build-time configuration (core count/configs, memory sizes, bus map,
 /// extension targets) is *not* included: [`Soc::restore_state`] requires an
@@ -879,13 +879,13 @@ impl Soc {
         self.prev_trig_in = state.prev_trig_in;
     }
 
-    /// Returns a raw byte image of one memory, or `None` when the device
+    /// Borrows the raw byte image of one memory, or `None` when the device
     /// variant does not have it fitted (emulation RAM on production parts).
-    pub fn memory_image(&self, id: MemoryId) -> Option<Vec<u8>> {
+    pub fn memory_image(&self, id: MemoryId) -> Option<&[u8]> {
         match id {
-            MemoryId::Flash => Some(self.mapper().flash().bytes().to_vec()),
-            MemoryId::Sram => Some(self.sram().bytes().to_vec()),
-            MemoryId::Emem => self.mapper().emem().map(|e| e.bytes().to_vec()),
+            MemoryId::Flash => Some(self.mapper().flash().bytes()),
+            MemoryId::Sram => Some(self.sram().bytes()),
+            MemoryId::Emem => self.mapper().emem().map(|e| e.bytes()),
         }
     }
 

@@ -23,7 +23,7 @@ use crate::node::{EcuNode, NodeConfig, NodeState};
 use mcds_psi::device::Device;
 use mcds_psi::faults::FaultPlan;
 use mcds_psi::interface::InterfaceKind;
-use mcds_replay::{device_state_hash, extend_fnv1a64, fnv1a64, FleetSnapshot, SocSnapshot};
+use mcds_replay::{device_state_hash, fleet_state_hash, fnv1a64, FleetSnapshot, SocSnapshot};
 use mcds_telemetry::{Subsystem, Telemetry};
 use mcds_xcp::XcpMaster;
 
@@ -527,17 +527,20 @@ impl Vehicle {
         }
     }
 
-    /// One hash over the whole vehicle: every ECU's canonical device
-    /// hash (name-keyed, in index order) folded with the serialized
-    /// fabric state. Equal hashes ⇒ bit-identical snapshot-visible state.
+    /// One hash over the whole vehicle: [`fleet_state_hash`] over every
+    /// ECU's canonical device hash (name-keyed, in index order) and the
+    /// serialized fabric state — equal to `self.snapshot().state_hash()`
+    /// without capturing. Equal hashes ⇒ bit-identical snapshot-visible
+    /// state.
     pub fn state_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for ecu in &self.ecus {
-            h = extend_fnv1a64(h, ecu.name.as_bytes());
-            h = extend_fnv1a64(h, &device_state_hash(&ecu.device).to_le_bytes());
-        }
         let fabric = serde_json::to_string(&self.fabric_state()).expect("fabric serializes");
-        extend_fnv1a64(h, &fnv1a64(fabric.as_bytes()).to_le_bytes())
+        fleet_state_hash(
+            self.cycle,
+            self.ecus
+                .iter()
+                .map(|e| (e.name.as_str(), device_state_hash(&e.device))),
+            fnv1a64(fabric.as_bytes()),
+        )
     }
 
     /// Captures the whole vehicle as a [`FleetSnapshot`]: one

@@ -111,7 +111,8 @@ proptest! {
     /// identically built vehicles — live, replayed from scratch, and
     /// resumed from a mid-run `FleetSnapshot` — must agree on the fabric
     /// state hash *and* every ECU's decoded trace, including under
-    /// injected bus corruption (error frames + retransmissions).
+    /// injected bus corruption (error frames + retransmissions). A live
+    /// vehicle's hash is always its snapshot's hash.
     #[test]
     fn four_ecu_vehicle_replays_bit_identically(
         loads in proptest::collection::vec((0..CYCLES, 0u32..=255), 0..4),
@@ -142,7 +143,9 @@ proptest! {
         let mut cur = 0;
         live.run_with_events(&log, &mut cur, MID);
         let snap = live.snapshot();
+        prop_assert_eq!(live.state_hash(), snap.state_hash());
         live.run_with_events(&log, &mut cur, CYCLES - MID);
+        prop_assert_eq!(live.state_hash(), live.snapshot().state_hash());
 
         // Replay from scratch on a fresh, identically built vehicle.
         let mut replayed = traced_fleet();
@@ -157,6 +160,7 @@ proptest! {
         let mut scur = log.cursor_at(MID);
         resumed.run_with_events(&log, &mut scur, CYCLES - MID);
         prop_assert_eq!(live.state_hash(), resumed.state_hash());
+        prop_assert_eq!(resumed.state_hash(), resumed.snapshot().state_hash());
         prop_assert_eq!(decoded_traces(&live), decoded_traces(&resumed));
     }
 }
