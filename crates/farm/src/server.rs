@@ -18,13 +18,13 @@ use mcds_host::Session;
 use mcds_obs::ObsEvent;
 use mcds_soc::event::CoreId;
 use mcds_soc::isa::Reg;
-use mcds_telemetry::{Histogram, Telemetry};
+use mcds_telemetry::{Counter, Histogram, Telemetry};
 use mcds_workloads::Workload;
 use serde::{Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -58,9 +58,9 @@ struct Shared {
     sched: Scheduler,
     latency: Histogram,
     started: Instant,
-    /// Method names seen so far, for `obs.latency` enumeration (the
-    /// per-method histograms themselves live in the telemetry registry).
-    methods: Mutex<Vec<String>>,
+    /// The farm's `farm_cycles_total` counter, read (lock-free) for the
+    /// `farm_cycles_per_sec` gauge.
+    cycles: Counter,
 }
 
 impl FarmServer {
@@ -94,7 +94,10 @@ impl FarmServer {
             farm: Arc::clone(&farm),
             latency,
             started: Instant::now(),
-            methods: Mutex::new(Vec::new()),
+            cycles: farm
+                .telemetry()
+                .registry()
+                .counter("farm_cycles_total", "Cycles run across all sessions"),
         });
         let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
@@ -208,12 +211,6 @@ fn handle_line(line: &str, shared: &Shared) -> String {
             LATENCY_BOUNDS_NS,
         )
         .observe(latency_ns);
-    {
-        let mut methods = shared.methods.lock().unwrap();
-        if !methods.iter().any(|m| m == &method) {
-            methods.push(method.clone());
-        }
-    }
     journal.record(
         Some(corr),
         None,
@@ -232,7 +229,7 @@ fn handle_line(line: &str, shared: &Shared) -> String {
                 "farm_cycles_per_sec",
                 "Aggregate simulated cycles per wall second",
             )
-            .set(shared.farm.stats().cycles_total as f64 / wall_s);
+            .set(shared.cycles.get() as f64 / wall_s);
     }
     match result {
         Ok(value) => render_ok(id, value),
@@ -278,15 +275,6 @@ fn stop_value(stop: Option<mcds_host::StopEvent>) -> Value {
             ("pc", vint(s.pc as u64)),
         ]),
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn dispatch(method: &str, params: &Value, corr: u64, shared: &Shared) -> Result<Value, RpcError> {
@@ -518,7 +506,9 @@ fn dispatch(method: &str, params: &Value, corr: u64, shared: &Shared) -> Result<
         "trace.pull" => {
             let id = proto::p_u64(params, "session")?;
             let outcome = with_session(farm, id, |s| s.pull_trace().map_err(device_err))?;
-            let digest = fnv1a64(format!("{:?}{:?}", outcome.flow, outcome.data_log).as_bytes());
+            let digest = mcds_replay::fnv1a64(
+                format!("{:?}{:?}", outcome.flow, outcome.data_log).as_bytes(),
+            );
             Ok(obj(vec![
                 ("messages", vint(outcome.messages.len() as u64)),
                 ("flow", vint(outcome.flow.len() as u64)),
@@ -552,9 +542,17 @@ fn dispatch(method: &str, params: &Value, corr: u64, shared: &Shared) -> Result<
         }
         "obs.latency" => {
             // Per-method request-latency quantiles from the histograms
-            // `handle_line` feeds.
+            // `handle_line` feeds; their `method` labels enumerate the
+            // methods seen so far.
             let registry = farm.telemetry().registry();
-            let mut methods = shared.methods.lock().unwrap().clone();
+            let mut methods: Vec<String> = registry
+                .snapshot()
+                .metrics
+                .into_iter()
+                .filter(|m| m.name == "farm_method_latency_ns")
+                .filter_map(|m| m.labels.into_iter().find(|(k, _)| k == "method"))
+                .map(|(_, v)| v)
+                .collect();
             methods.sort();
             let rows = methods
                 .iter()

@@ -25,8 +25,6 @@ use mcds_replay::{device_state_hash, SocSnapshot};
 use mcds_soc::asm::Program;
 use mcds_soc::event::CoreId;
 use mcds_soc::isa::Reg;
-use mcds_soc::sink::NullSink;
-use mcds_soc::{HaltStop, RunState};
 use mcds_xcp::XcpMaster;
 
 /// Session snapshot format version; bump on any incompatible change to
@@ -133,22 +131,13 @@ impl Session {
     /// Runs the device for up to `cycles` cycles, stopping on the exact
     /// cycle any core halts — so a stop lands on the same cycle however
     /// the surrounding run quanta are sliced, which keeps farm scheduling
-    /// off the determinism path. If a core is already halted when the
-    /// quantum starts (a breakpoint can fire during the very link latency
-    /// of arming it), the stop is reported immediately with zero cycles
-    /// run — mirroring [`Debugger::wait_for_stop`]. A stop ends the
-    /// quantum: remaining cycles are not run, and the report says how many
-    /// were.
+    /// off the determinism path. This is [`Debugger::run_to_stop`]: a core
+    /// already halted when the quantum starts (a breakpoint can fire
+    /// during the very link latency of arming it) is reported immediately
+    /// with zero cycles run. A stop ends the quantum: remaining cycles are
+    /// not run, and the report says how many were.
     pub fn run(&mut self, cycles: u64) -> RunReport {
-        let mut ran = 0;
-        let mut stop = self.any_halted();
-        if stop.is_none() {
-            ran = self
-                .dbg
-                .device_mut()
-                .run_into(cycles, Some(HaltStop::Any), &mut NullSink);
-            stop = self.any_halted();
-        }
+        let (ran, stop) = self.dbg.run_to_stop(cycles);
         let start_cycle = self.cycles_run;
         self.cycles_run += ran;
         if let Some(journal) = &self.obs {
@@ -182,21 +171,6 @@ impl Session {
     /// [`Session::run`] to report effective speedup.
     pub fn exec_stats(&self) -> &mcds_soc::ExecStats {
         self.dbg.device().exec_stats()
-    }
-
-    fn any_halted(&self) -> Option<StopEvent> {
-        self.dbg
-            .device()
-            .soc()
-            .cores()
-            .find_map(|c| match c.state() {
-                RunState::Halted(cause) => Some(StopEvent {
-                    core: c.id(),
-                    cause,
-                    pc: c.pc(),
-                }),
-                _ => None,
-            })
     }
 
     /// Sets a software breakpoint (RAM/overlay-resident code only).
@@ -419,6 +393,7 @@ mod tests {
     use super::*;
     use mcds::observer::{CoreTraceConfig, TraceQualifier};
     use mcds_psi::device::{DeviceSpec, DeviceVariant};
+    use mcds_soc::sink::NullSink;
     use mcds_workloads::Workload;
 
     fn spec_for(w: Workload) -> DeviceSpec {
@@ -521,12 +496,20 @@ mod tests {
         assert_eq!(a.cycles_run(), b.cycles_run());
 
         // With a hardware breakpoint armed, the stop lands on the same
-        // cycle however the run is sliced, in either execution mode.
+        // cycle however the run is sliced, in either execution mode — and
+        // the debugger's own stop-wait lands on that state too.
         let mut outcomes = Vec::new();
+        let mut waits = Vec::new();
         for mode in [
             mcds_soc::ExecMode::BlockBatched,
             mcds_soc::ExecMode::PerCycle,
         ] {
+            let (mut s, done) = countdown_session(10_000);
+            s.set_exec_mode(mode);
+            s.set_hw_breakpoint(CoreId(0), done).unwrap();
+            let stop = s.debugger_mut().wait_for_stop(200_000).unwrap();
+            let cycle = s.debugger().device().soc().cycle();
+            waits.push((cycle, stop.pc, s.state_hash()));
             for (quanta, quantum) in [(1, 200_000), (200, 1_000)] {
                 let (mut s, done) = countdown_session(10_000);
                 s.set_exec_mode(mode);
@@ -546,6 +529,11 @@ mod tests {
             outcomes.iter().all(|o| *o == outcomes[0]),
             "slicing or mode changed the stop: {outcomes:?}"
         );
+        assert!(
+            waits.iter().all(|w| *w == waits[0]),
+            "mode changed the wait_for_stop landing: {waits:?}"
+        );
+        assert_eq!((waits[0].1, waits[0].2), (outcomes[0].1, outcomes[0].2));
     }
 
     #[test]

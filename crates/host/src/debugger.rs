@@ -22,7 +22,8 @@ use mcds_psi::interface::InterfaceKind;
 use mcds_soc::bus::AddrRange;
 use mcds_soc::event::{CoreId, StopCause};
 use mcds_soc::isa::{Instr, Reg};
-use mcds_soc::RunState;
+use mcds_soc::sink::NullSink;
+use mcds_soc::{HaltStop, RunState};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -605,23 +606,31 @@ impl Debugger {
         None
     }
 
+    /// Runs the device until some core is stopped, or `max_cycles` pass:
+    /// one [`Device::run_into`] with [`HaltStop::Any`], so the run goes
+    /// through the execution kernel and still lands on the exact cycle a
+    /// core halts. Returns the cycles run and the stop. A core already
+    /// stopped on entry (a breakpoint can fire during the very link latency
+    /// of arming it) is reported with zero cycles run.
+    pub fn run_to_stop(&mut self, max_cycles: u64) -> (u64, Option<StopEvent>) {
+        if let Some(e) = self.find_stopped() {
+            return (0, Some(e));
+        }
+        let ran = self
+            .dev
+            .run_into(max_cycles, Some(HaltStop::Any), &mut NullSink);
+        (ran, self.find_stopped())
+    }
+
     /// Runs the device until some core is stopped (returning immediately if
-    /// one already is), or `max_cycles` pass.
+    /// one already is), or `max_cycles` pass — [`Debugger::run_to_stop`]
+    /// without the cycle count.
     ///
     /// # Errors
     ///
     /// [`HostError::NoStop`] on budget exhaustion.
     pub fn wait_for_stop(&mut self, max_cycles: u64) -> Result<StopEvent, HostError> {
-        if let Some(e) = self.find_stopped() {
-            return Ok(e);
-        }
-        for _ in 0..max_cycles {
-            self.dev.step();
-            if let Some(e) = self.find_stopped() {
-                return Ok(e);
-            }
-        }
-        Err(HostError::NoStop)
+        self.run_to_stop(max_cycles).1.ok_or(HostError::NoStop)
     }
 
     /// A full stop context for a halted core: registers, special registers

@@ -23,7 +23,7 @@ use mcds_analysis::{
 use mcds_psi::device::{DebugOp, DebugResponse, Device, DeviceError};
 use mcds_soc::asm::Program;
 use mcds_soc::overlay::{OverlayRange, OVERLAY_MAX_BLOCK, OVERLAY_RANGE_COUNT};
-use mcds_soc::sink::FanOut;
+use mcds_soc::sink::{FanOut, NullSink};
 use mcds_soc::soc::memmap;
 use mcds_telemetry::Subsystem;
 use mcds_trace::{
@@ -183,7 +183,8 @@ impl TraceSession {
         dbg: &mut Debugger,
         max_cycles: u64,
     ) -> Result<TraceOutcome, SessionError> {
-        dbg.device_mut().run_until_halt(max_cycles);
+        dbg.device_mut()
+            .run_until_halt_into(max_cycles, &mut NullSink);
         // Flush residual observer state into the sink before download.
         drain_residual_trace(dbg.device_mut());
         self.download(dbg)

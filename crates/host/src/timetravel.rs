@@ -8,10 +8,18 @@
 //! checkpoint is bit-identical to the original run, so "stepping back one
 //! instruction" lands on *exactly* the machine state that preceded it —
 //! registers, memories, trace units and all.
+//!
+//! Every forward run — live, or re-execution after a restore — is one call
+//! into [`run_with_events_into`], the replay layer's single driver: the
+//! ring is observed at the loop top and the device runs through the
+//! execution kernel between events and checkpoints. Only
+//! [`TimeTravel::reverse_step`] steps cycle by cycle, because it must land
+//! on an instruction boundary; it applies events through the same
+//! [`Replayer`].
 
 use crate::debugger::HostError;
 use mcds_psi::Device;
-use mcds_replay::{Checkpoint, CheckpointRing, InputLog};
+use mcds_replay::{run_with_events_into, Checkpoint, CheckpointRing, InputLog, Replayer};
 use mcds_soc::event::CoreId;
 use mcds_soc::sink::{CycleSink, NullSink};
 use std::fmt;
@@ -85,15 +93,6 @@ impl fmt::Debug for TimeTravel {
     }
 }
 
-fn apply_due(dev: &mut Device, log: &InputLog, next: &mut usize) {
-    let events = log.events();
-    while *next < events.len() && events[*next].cycle() <= dev.soc().cycle() {
-        let ev = &events[*next];
-        *next += 1;
-        ev.apply(dev);
-    }
-}
-
 impl TimeTravel {
     /// Starts a session at the device's current state, which becomes the
     /// base checkpoint (the earliest point reachable backwards). `log`
@@ -102,7 +101,7 @@ impl TimeTravel {
     /// newest `capacity`.
     pub fn new(dev: Device, log: InputLog, every: u64, capacity: usize) -> TimeTravel {
         let base = Checkpoint::capture(&dev);
-        let next_event = log.events().partition_point(|e| e.cycle() < base.cycle());
+        let next_event = Replayer::resume_at(&log, base.cycle()).position();
         TimeTravel {
             dev,
             log,
@@ -146,40 +145,17 @@ impl TimeTravel {
     }
 
     /// Runs the device forward to `target` cycles, applying due input
-    /// events before each step and capturing periodic checkpoints. Does
-    /// nothing if `target` is in the past (use [`TimeTravel::seek`]).
+    /// events and capturing periodic checkpoints. Does nothing if `target`
+    /// is in the past (use [`TimeTravel::seek`]).
     pub fn run_to_cycle(&mut self, target: u64) {
         self.run_to_cycle_into(target, &mut NullSink);
     }
 
-    /// Like [`TimeTravel::run_to_cycle`], but streams each stepped cycle's
+    /// Like [`TimeTravel::run_to_cycle`], but streams each run cycle's
     /// events into `sink` — live observation of a checkpointed run without
     /// materialising records.
     pub fn run_to_cycle_into<S: CycleSink + ?Sized>(&mut self, target: u64, sink: &mut S) {
-        let TimeTravel {
-            dev,
-            log,
-            ring,
-            next_event,
-            ..
-        } = self;
-        while dev.soc().cycle() < target {
-            ring.observe(dev);
-            apply_due(dev, log, next_event);
-            let now = dev.soc().cycle();
-            if now >= target {
-                break;
-            }
-            // Batch to the next boundary the per-cycle driver would have
-            // acted at: the target, the next input event, or the next
-            // checkpoint falling due. In between, the run is pure device
-            // execution and may go through the batching kernel.
-            let mut boundary = target.min(ring.next_due_at(now + 1));
-            if let Some(ev) = log.events().get(*next_event) {
-                boundary = boundary.min(ev.cycle().max(now + 1));
-            }
-            dev.run_cycles_into(boundary - now, sink);
-        }
+        self.replay_to(target, true, sink);
     }
 
     /// Moves the device to `target` cycles, in either direction. Backward
@@ -209,7 +185,8 @@ impl TimeTravel {
             .nearest_at_or_before(target)
             .unwrap_or(&self.base)
             .clone();
-        self.restore_and_replay_to(&cp, target);
+        self.restore(&cp);
+        self.replay_to(target, false, &mut NullSink);
         Ok(())
     }
 
@@ -241,26 +218,24 @@ impl TimeTravel {
         // instructions, then halt it at that boundary: `break_pending` is
         // consumed at the next FetchIssue phase, before any further
         // instruction can retire, so there is no overshoot.
-        let TimeTravel {
-            dev,
-            log,
-            next_event,
-            ..
-        } = self;
+        let mut rep = Replayer::at(&self.log, self.next_event);
+        let dev = &mut self.dev;
         while dev.soc().core(core).retired() < target {
-            apply_due(dev, log, next_event);
+            rep.apply_due(dev);
             dev.step_into(&mut NullSink);
         }
         dev.soc_mut().core_mut(core).request_break();
         let mut budget = HALT_BUDGET_CYCLES;
-        while !dev.soc().core(core).is_halted() {
-            if budget == 0 {
-                return Err(TimeTravelError::CoreUnresponsive(core));
-            }
+        while !dev.soc().core(core).is_halted() && budget > 0 {
             budget -= 1;
-            apply_due(dev, log, next_event);
+            rep.apply_due(dev);
             dev.step_into(&mut NullSink);
             dev.soc_mut().core_mut(core).request_break();
+        }
+        self.next_event = rep.position();
+        let dev = &self.dev;
+        if !dev.soc().core(core).is_halted() {
+            return Err(TimeTravelError::CoreUnresponsive(core));
         }
         assert_eq!(
             dev.soc().core(core).retired(),
@@ -272,46 +247,29 @@ impl TimeTravel {
 
     fn restore(&mut self, cp: &Checkpoint) {
         cp.restore_into(&mut self.dev);
-        self.next_event = self
-            .log
-            .events()
-            .partition_point(|e| e.cycle() < cp.cycle());
+        self.next_event = Replayer::resume_at(&self.log, cp.cycle()).position();
     }
 
-    /// Restores `cp` and replays forward to `target` cycles without
-    /// capturing new checkpoints.
-    fn restore_and_replay_to(&mut self, cp: &Checkpoint, target: u64) {
-        self.restore(cp);
-        let TimeTravel {
-            dev,
-            log,
-            next_event,
-            ..
-        } = self;
-        while dev.soc().cycle() < target {
-            apply_due(dev, log, next_event);
-            let now = dev.soc().cycle();
-            if now >= target {
-                break;
-            }
-            // Deterministic replay batches between input events exactly
-            // like the forward pass: same boundaries, same kernel, same
-            // bit-identical states at every checkpointable cycle.
-            let mut boundary = target;
-            if let Some(ev) = log.events().get(*next_event) {
-                boundary = boundary.min(ev.cycle().max(now + 1));
-            }
-            dev.run_cycles(boundary - now);
-        }
+    /// Replays the log forward to `target` cycles from the cursor, through
+    /// the replay layer's one driver; `checkpoint` feeds the ring (a
+    /// re-execution after a restore does not — the existing checkpoints
+    /// remain valid history).
+    fn replay_to<S: CycleSink + ?Sized>(&mut self, target: u64, checkpoint: bool, sink: &mut S) {
+        let mut rep = Replayer::at(&self.log, self.next_event);
+        let ring = checkpoint.then_some(&mut self.ring);
+        run_with_events_into(&mut self.dev, &mut rep, target, ring, sink);
+        self.next_event = rep.position();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
+    use mcds_psi::device::{DebugOp, Device, DeviceBuilder, DeviceVariant};
+    use mcds_psi::InterfaceKind;
     use mcds_replay::{device_state_hash, run_with_events, InputEvent, Replayer};
     use mcds_soc::asm::assemble;
+    use mcds_soc::soc::memmap;
 
     fn counting_device() -> Device {
         let mut dev = DeviceBuilder::new(DeviceVariant::EdSideBooster)
@@ -345,24 +303,69 @@ mod tests {
         log
     }
 
+    /// Cycle at which the straddling debug read is issued: its link
+    /// latency carries the device past the cycle-1000 checkpoint boundary.
+    const DEBUG_AT: u64 = 980;
+
+    fn debug_read() -> InputEvent {
+        InputEvent::Debug {
+            cycle: DEBUG_AT,
+            iface: InterfaceKind::Jtag,
+            op: DebugOp::ReadWords {
+                addr: memmap::SRAM_BASE,
+                count: 1,
+            },
+        }
+    }
+
+    /// [`stimulus_log`] plus [`debug_read`] and a stimulus write due inside
+    /// the read's overshoot.
+    fn straddling_log() -> InputLog {
+        let mut log = InputLog::new();
+        for ev in stimulus_log().events() {
+            if ev.cycle() > DEBUG_AT && log.events().last().is_some_and(|e| e.cycle() < DEBUG_AT) {
+                log.record(debug_read());
+                log.record(InputEvent::Stimulus {
+                    cycle: DEBUG_AT + 10,
+                    port: 0,
+                    value: 7,
+                });
+            }
+            log.record(ev.clone());
+        }
+        log
+    }
+
     #[test]
     fn seek_is_bit_exact_in_both_directions() {
-        let log = stimulus_log();
+        let log = straddling_log();
+        let mut probe = counting_device();
+        probe.run_cycles(DEBUG_AT);
+        debug_read().apply(&mut probe);
+        let landed = probe.soc().cycle();
+        assert!(
+            landed > 1_000,
+            "the debug read straddles a checkpoint boundary"
+        );
+
         let mut tt = TimeTravel::new(counting_device(), log.clone(), 500, 16);
-        tt.run_to_cycle(3_000);
+        let end = landed + 2_500;
+        tt.run_to_cycle(end);
         let end_hash = device_state_hash(tt.device());
         assert!(tt.checkpoint_count() >= 5);
 
-        // Backward: the arrived-at state must match an uninterrupted run.
-        tt.seek(1_234).unwrap();
-        assert_eq!(tt.cycle(), 1_234);
-        let mut fresh = counting_device();
-        let mut rep = Replayer::new(&log);
-        run_with_events(&mut fresh, &mut rep, 1_234);
-        assert_eq!(device_state_hash(tt.device()), device_state_hash(&fresh));
-
-        // Forward again: back to the same end state.
-        tt.seek(3_000).unwrap();
+        // Backward (past, then into, the debug overshoot) and forward
+        // again: every arrived-at state must match an uninterrupted
+        // replay from reset to the same target.
+        for target in [landed + 1_234, DEBUG_AT + 15, landed + 2_100, end] {
+            tt.seek(target).unwrap();
+            let mut fresh = counting_device();
+            let mut rep = Replayer::new(&log);
+            run_with_events(&mut fresh, &mut rep, target);
+            assert_eq!(tt.cycle(), fresh.soc().cycle(), "seek to {target}");
+            assert_eq!(device_state_hash(tt.device()), device_state_hash(&fresh));
+        }
+        assert_eq!(tt.cycle(), end);
         assert_eq!(device_state_hash(tt.device()), end_hash);
     }
 

@@ -11,10 +11,14 @@
 //!
 //! The apply convention is fixed: at the top of each driver iteration,
 //! every event with `cycle <= now` is applied (in log order) *before* the
-//! device steps. Checkpoints are captured before that cycle's events are
-//! applied, so resuming from a checkpoint at cycle `C` replays events with
-//! `cycle >= C` and skips the rest.
+//! device advances. Checkpoints are captured before that cycle's events
+//! are applied, so resuming from a checkpoint at cycle `C` replays events
+//! with `cycle >= C` and skips the rest. [`run_with_events_into`] is the
+//! one driver that follows it: between events (and checkpoints) the run
+//! is pure device execution and goes through [`Device::run_into`], so an
+//! idle replayed device batches and skips through the execution kernel.
 
+use crate::checkpoint::CheckpointRing;
 use mcds_psi::{DebugOp, Device, FaultPlan, InterfaceKind};
 use mcds_soc::sink::{CycleSink, NullSink};
 use mcds_workloads::stimulus::Profile;
@@ -172,9 +176,15 @@ pub struct Replayer<'a> {
 impl<'a> Replayer<'a> {
     /// A cursor positioned at the start of the log (replay from reset).
     pub fn new(log: &'a InputLog) -> Replayer<'a> {
+        Replayer::at(log, 0)
+    }
+
+    /// A cursor positioned at event index `position` — the value an
+    /// earlier cursor's [`Replayer::position`] reported.
+    pub fn at(log: &'a InputLog, position: usize) -> Replayer<'a> {
         Replayer {
             events: log.events(),
-            next: 0,
+            next: position,
         }
     }
 
@@ -183,11 +193,7 @@ impl<'a> Replayer<'a> {
     /// are skipped; events at or after it are still pending (checkpoints
     /// are captured before their own cycle's events are applied).
     pub fn resume_at(log: &'a InputLog, cycle: u64) -> Replayer<'a> {
-        let next = log.events().partition_point(|e| e.cycle() < cycle);
-        Replayer {
-            events: log.events(),
-            next,
-        }
+        Replayer::at(log, log.events().partition_point(|e| e.cycle() < cycle))
     }
 
     /// Applies every pending event whose cycle is at or before the
@@ -216,31 +222,49 @@ impl<'a> Replayer<'a> {
     }
 }
 
-/// Steps `dev` forward to `until` cycles, applying due log events before
-/// each step (the canonical record/replay driver loop). Stops early if a
-/// replayed debug command overshoots `until`. Streams nothing — a
-/// replayed run is fully determined by the log, so observation is
-/// optional; use [`run_with_events_into`] to watch it live.
+/// Runs `dev` forward to `until` cycles under the log (the canonical
+/// record/replay driver), streaming nothing — a replayed run is fully
+/// determined by the log, so observation is optional; use
+/// [`run_with_events_into`] to watch it live or capture checkpoints.
 pub fn run_with_events(dev: &mut Device, replayer: &mut Replayer<'_>, until: u64) {
-    run_with_events_into(dev, replayer, until, &mut NullSink);
+    run_with_events_into(dev, replayer, until, None, &mut NullSink);
 }
 
-/// Like [`run_with_events`], but pushes each stepped cycle's events into
-/// `sink`, so a replayed run can be observed live (analyzers, timelines)
-/// without materialising records. Cycles advanced inside replayed debug
-/// commands are internal to the device and are not streamed — the sink
-/// sees exactly the cycles this driver loop steps.
+/// The one driver loop over an [`InputLog`]. Each iteration observes
+/// `ring` (if any) at the loop top, applies the due events, then runs the
+/// device through [`Device::run_into`] to the next boundary: `until`, the
+/// next pending event, or the next checkpoint falling due — whichever is
+/// first. The boundary is computed *after* the events are applied, so a
+/// replayed debug command whose link latency carries the device past a
+/// checkpoint boundary still gets that checkpoint on the very next cycle,
+/// exactly as a per-cycle driver would. Stops early if a replayed debug
+/// command overshoots `until`.
+///
+/// Observed cycles stream into `sink`; cycles advanced inside replayed
+/// debug commands are internal to the device and are not streamed.
 pub fn run_with_events_into<S: CycleSink + ?Sized>(
     dev: &mut Device,
     replayer: &mut Replayer<'_>,
     until: u64,
+    mut ring: Option<&mut CheckpointRing>,
     sink: &mut S,
 ) {
     while dev.soc().cycle() < until {
+        if let Some(ring) = ring.as_deref_mut() {
+            ring.observe(dev);
+        }
         replayer.apply_due(dev);
-        if dev.soc().cycle() >= until {
+        let now = dev.soc().cycle();
+        if now >= until {
             break;
         }
-        dev.step_into(sink);
+        let mut boundary = until;
+        if let Some(ev) = replayer.events.get(replayer.next) {
+            boundary = boundary.min(ev.cycle().max(now + 1));
+        }
+        if let Some(ring) = ring.as_deref() {
+            boundary = boundary.min(ring.next_due_at(now + 1));
+        }
+        dev.run_cycles_into(boundary - now, sink);
     }
 }

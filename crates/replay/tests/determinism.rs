@@ -253,3 +253,52 @@ proptest! {
         prop_assert_eq!(state_json(&dev), state_json(&twin));
     }
 }
+
+/// An untraced replay (no MCDS: the device is idle between events) goes
+/// through the execution kernel yet lands on the per-cycle reference state
+/// at every cut point.
+#[test]
+fn untraced_replay_batches_and_matches_per_cycle() {
+    let untraced = || {
+        let mut dev = DeviceBuilder::new(DeviceVariant::EdSideBooster)
+            .core(CoreConfig {
+                reset_pc: 0x8001_0000,
+                clock_div: 1,
+                ..Default::default()
+            })
+            .build();
+        dev.soc_mut().load_program(&gearbox::program(None));
+        dev
+    };
+    let mut log = InputLog::new();
+    for k in 0..8u64 {
+        log.record(InputEvent::Stimulus {
+            cycle: k * 400 + 17,
+            port: gearbox::SPEED_PORT,
+            value: (20 + 9 * k) as u32,
+        });
+    }
+
+    let mut dev = untraced();
+    let mut rep = Replayer::new(&log);
+    let mut reference = untraced();
+    let mut ref_rep = Replayer::new(&log);
+    for cut in [250, 1_000, 1_817, 3_300] {
+        mcds_replay::run_with_events(&mut dev, &mut rep, cut);
+        while reference.soc().cycle() < cut {
+            ref_rep.apply_due(&mut reference);
+            reference.step();
+        }
+        assert_eq!(dev.soc().cycle(), cut);
+        assert_eq!(
+            device_state_hash(&dev),
+            device_state_hash(&reference),
+            "diverged at cycle {cut}"
+        );
+    }
+    let stats = dev.exec_stats();
+    assert!(
+        stats.block_cycles + stats.skipped_cycles > 0,
+        "untraced replay never reached the kernel: {stats:?}"
+    );
+}

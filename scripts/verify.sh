@@ -113,3 +113,10 @@ for t in t7 t8 t9 t11 t12 t13_farm t14_vnet t15_obs t16_kernel; do
   test -s "target/analysis/${t}_telemetry.json" \
     || { echo "missing ${t}_telemetry.json"; exit 1; }
 done
+
+# Consumer benchmark: `benchmark/` is a cargo workspace of its own, so the
+# workspace build above never compiles it. Build it against the current
+# crates and run one short workload (its correctness gate exits non-zero).
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- \
+  --workload farm-debug --seed 1 --seconds 1 --trace 0 >/dev/null
