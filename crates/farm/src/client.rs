@@ -45,13 +45,15 @@ pub struct FarmClient {
 }
 
 impl FarmClient {
-    /// Connects to a farm server.
+    /// Connects to a farm server, with `TCP_NODELAY` set so a request
+    /// leaves as soon as it is written.
     ///
     /// # Errors
     ///
     /// I/O errors from connecting.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<FarmClient, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(FarmClient {
             writer: stream,
@@ -71,16 +73,14 @@ impl FarmClient {
     pub fn call(&mut self, method: &str, params: Value) -> Result<Value, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = serde_json::to_string(&obj(vec![
+        let mut line = serde_json::to_string(&obj(vec![
             ("id", Value::Int(id as i128)),
             ("method", vstr(method)),
             ("params", params),
         ]))
         .map_err(|e| ClientError::Protocol(format!("request serialization: {e}")))?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.read_response()
+        line.push('\n');
+        self.round_trip(&line)
     }
 
     /// Sends a raw pre-rendered line (for protocol testing) and returns
@@ -90,13 +90,13 @@ impl FarmClient {
     ///
     /// As [`FarmClient::call`].
     pub fn call_raw(&mut self, line: &str) -> Result<Value, ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.read_response()
+        self.round_trip(&format!("{line}\n"))
     }
 
-    fn read_response(&mut self) -> Result<Value, ClientError> {
+    /// Sends one newline-terminated message in one write and reads the
+    /// response.
+    fn round_trip(&mut self, message: &str) -> Result<Value, ClientError> {
+        self.writer.write_all(message.as_bytes())?;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {

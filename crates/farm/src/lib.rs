@@ -16,7 +16,7 @@
 //!
 //! Layering:
 //!
-//! * [`proto`] — wire types: request parsing, response rendering, error
+//! * [`proto`] — wire types and limits: request parsing, response rendering, error
 //!   codes, parameter accessors;
 //! * [`registry`] — the session table: checkout/checkin exclusivity,
 //!   LRU eviction to [`mcds_host::SessionSnapshot`] JSON files, verified

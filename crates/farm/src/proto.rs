@@ -1,20 +1,46 @@
 //! The farm's wire protocol: newline-delimited JSON-RPC.
 //!
-//! Each request is one JSON object on one line — `{"id": 1, "method":
-//! "session.run", "params": {...}}` — and each response one object on one
-//! line: `{"id": 1, "ok": {...}}` or `{"id": 1, "error": {"code": -32601,
-//! "message": "..."}}`. Responses to a connection are written in request
-//! order. The protocol is deliberately self-describing text so any
-//! language with a JSON library and a TCP socket can drive the farm.
+//! Each request is one JSON object on one UTF-8 line — `{"id": 1,
+//! "method": "session.run", "params": {...}}` — and each response one
+//! object on one line: `{"id": 1, "ok": {...}}` or `{"id": 1, "error":
+//! {"code": -32601, "message": "..."}}`. Responses to a connection are
+//! written in request order. The protocol is deliberately self-describing
+//! text so any language with a JSON library and a TCP socket can drive the
+//! farm.
+//!
+//! Both ends send each message (body plus `'\n'`) with one write and set
+//! `TCP_NODELAY`: a message split over two writes would leave its second
+//! segment to Nagle's algorithm (RFC 896), which holds it until the peer's
+//! delayed ACK (RFC 1122 §4.2.3.2), tens of milliseconds per direction.
+//!
+//! The server bounds what a client can hold: a request line is at most
+//! [`MAX_LINE`] bytes, at most [`MAX_CONNECTIONS`] connections are open at
+//! once, a connection idle for [`IDLE_TIMEOUT`] is closed (sessions
+//! outlive connections, so only the socket is lost), and one `mem.read`
+//! returns at most [`MAX_MEM_READ_WORDS`] words.
 //!
 //! Error codes follow JSON-RPC for the transport layer (-32700 parse,
-//! -32600 invalid request, -32601 method not found, -32602 invalid
-//! params) and use a small positive space for farm semantics
-//! ([`ERR_NO_SESSION`], [`ERR_ALREADY_ATTACHED`], ...).
+//! including a line that is not UTF-8; -32600 invalid request; -32601
+//! method not found; -32602 invalid params), use its server-error range
+//! for the transport limits ([`ERR_REQUEST_TOO_LARGE`],
+//! [`ERR_TOO_MANY_CONNECTIONS`]; the connection is closed after either),
+//! and use a small positive space for farm semantics ([`ERR_NO_SESSION`],
+//! [`ERR_ALREADY_ATTACHED`], ...).
 
 use serde::Value;
+use std::time::Duration;
 
-/// Request line was not valid JSON.
+/// Longest request line the server reads, in bytes, excluding the `'\n'`.
+pub const MAX_LINE: usize = 1 << 20;
+/// Most connections a server keeps open at once.
+pub const MAX_CONNECTIONS: usize = 256;
+/// How long a connection may sit between requests before the server
+/// closes it.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+/// Most words one `mem.read` may ask for.
+pub const MAX_MEM_READ_WORDS: u64 = 4096;
+
+/// Request line was not valid UTF-8 JSON.
 pub const ERR_PARSE: i64 = -32700;
 /// Request JSON was not a `{id?, method, params?}` object.
 pub const ERR_INVALID_REQUEST: i64 = -32600;
@@ -22,6 +48,13 @@ pub const ERR_INVALID_REQUEST: i64 = -32600;
 pub const ERR_METHOD_NOT_FOUND: i64 = -32601;
 /// Parameters missing or of the wrong type.
 pub const ERR_INVALID_PARAMS: i64 = -32602;
+/// Request line longer than [`MAX_LINE`]; the server closes the
+/// connection after answering, since it no longer knows where the next
+/// line starts.
+pub const ERR_REQUEST_TOO_LARGE: i64 = -32001;
+/// The server already has [`MAX_CONNECTIONS`] open; it answers the new
+/// connection with this error and closes it.
+pub const ERR_TOO_MANY_CONNECTIONS: i64 = -32002;
 /// No session with the given id.
 pub const ERR_NO_SESSION: i64 = 1001;
 /// `session.attach` on a session already attached.
@@ -77,13 +110,15 @@ impl std::fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-/// Parses one request line.
+/// Parses one request line, as read off the wire.
 ///
 /// # Errors
 ///
-/// [`ERR_PARSE`] on malformed JSON, [`ERR_INVALID_REQUEST`] when the
-/// object lacks a string `method`.
-pub fn parse_request(line: &str) -> Result<Request, RpcError> {
+/// [`ERR_PARSE`] on bytes that are not UTF-8 or not JSON,
+/// [`ERR_INVALID_REQUEST`] when the object lacks a string `method`.
+pub fn parse_request(line: &[u8]) -> Result<Request, RpcError> {
+    let line = std::str::from_utf8(line)
+        .map_err(|e| RpcError::new(ERR_PARSE, format!("request is not UTF-8: {e}")))?;
     let v: Value = serde_json::from_str(line)
         .map_err(|e| RpcError::new(ERR_PARSE, format!("parse error: {e}")))?;
     let Value::Map(entries) = &v else {
@@ -313,7 +348,7 @@ mod tests {
     #[test]
     fn request_round_trip() {
         let req =
-            parse_request(r#"{"id": 7, "method": "session.run", "params": {"cycles": 1000}}"#)
+            parse_request(br#"{"id": 7, "method": "session.run", "params": {"cycles": 1000}}"#)
                 .unwrap();
         assert_eq!(req.id, Some(7));
         assert_eq!(req.method, "session.run");
@@ -323,11 +358,13 @@ mod tests {
 
     #[test]
     fn malformed_line_is_parse_error() {
-        let err = parse_request("{not json").unwrap_err();
+        let err = parse_request(b"{not json").unwrap_err();
         assert_eq!(err.code, ERR_PARSE);
-        let err = parse_request(r#"{"id": 1}"#).unwrap_err();
+        let err = parse_request(b"\xff\xfe{}").unwrap_err();
+        assert_eq!(err.code, ERR_PARSE);
+        let err = parse_request(br#"{"id": 1}"#).unwrap_err();
         assert_eq!(err.code, ERR_INVALID_REQUEST);
-        let err = parse_request("[1,2]").unwrap_err();
+        let err = parse_request(b"[1,2]").unwrap_err();
         assert_eq!(err.code, ERR_INVALID_REQUEST);
     }
 
@@ -343,7 +380,7 @@ mod tests {
     #[test]
     fn word_lists_round_trip() {
         let req =
-            parse_request(r#"{"method": "mem.write", "params": {"words": [1, 2, 4294967295]}}"#)
+            parse_request(br#"{"method": "mem.write", "params": {"words": [1, 2, 4294967295]}}"#)
                 .unwrap();
         assert_eq!(p_words(&req.params, "words").unwrap(), vec![1, 2, u32::MAX]);
     }

@@ -6,11 +6,13 @@
 //! (`farm_request_errors_total`), and `farm_cycles_per_sec` tracks the
 //! aggregate simulated throughput since the server started — all through
 //! the same [`mcds_telemetry`] registry the rest of the workspace uses,
-//! exported over the wire by `farm.metrics`.
+//! exported over the wire by `farm.metrics`. `farm_connections_open`
+//! gauges the live connections, which [`proto::MAX_CONNECTIONS`] caps.
 
 use crate::proto::{
-    self, obj, parse_request, render_err_with_data, render_ok, vbool, vint, vstr, RpcError,
-    ERR_DEVICE, ERR_METHOD_NOT_FOUND,
+    self, obj, parse_request, render_err, render_err_with_data, render_ok, vbool, vint, vstr,
+    Request, RpcError, ERR_DEVICE, ERR_METHOD_NOT_FOUND, ERR_REQUEST_TOO_LARGE,
+    ERR_TOO_MANY_CONNECTIONS, MAX_CONNECTIONS, MAX_LINE,
 };
 use crate::registry::{Farm, FarmConfig};
 use crate::scheduler::Scheduler;
@@ -18,10 +20,10 @@ use mcds_host::Session;
 use mcds_obs::ObsEvent;
 use mcds_soc::event::CoreId;
 use mcds_soc::isa::Reg;
-use mcds_telemetry::{Counter, Histogram, Telemetry};
+use mcds_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use mcds_workloads::Workload;
 use serde::{Serialize, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -63,6 +65,23 @@ struct Shared {
     cycles: Counter,
 }
 
+/// One open connection, counted in `farm_connections_open` for as long as
+/// it lives (including when its thread fails to spawn or panics).
+struct OpenConnection(Gauge);
+
+impl OpenConnection {
+    fn new(open: &Gauge) -> OpenConnection {
+        open.add(1.0);
+        OpenConnection(open.clone())
+    }
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        self.0.add(-1.0);
+    }
+}
+
 impl FarmServer {
     /// Binds `127.0.0.1:port` (0 for ephemeral), spawns the scheduler
     /// worker pool and the accept loop, and returns.
@@ -99,6 +118,10 @@ impl FarmServer {
                 .registry()
                 .counter("farm_cycles_total", "Cycles run across all sessions"),
         });
+        let open = farm
+            .telemetry()
+            .registry()
+            .gauge("farm_connections_open", "Open wire connections");
         let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
             .name("farm-accept".to_string())
@@ -107,11 +130,26 @@ impl FarmServer {
                     if accept_stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = conn else { continue };
+                    let Ok(mut stream) = conn else { continue };
+                    // Only this thread opens connections, so the count
+                    // cannot rise between the check and the increment.
+                    if open.get() >= MAX_CONNECTIONS as f64 {
+                        let refusal = RpcError::new(
+                            ERR_TOO_MANY_CONNECTIONS,
+                            format!("the farm already has {MAX_CONNECTIONS} connections open"),
+                        );
+                        let _ = stream
+                            .write_all(format!("{}\n", render_err(None, &refusal)).as_bytes());
+                        continue;
+                    }
+                    let counted = OpenConnection::new(&open);
                     let shared = Arc::clone(&shared);
                     let _ = std::thread::Builder::new()
                         .name("farm-conn".to_string())
-                        .spawn(move || serve_connection(stream, &shared));
+                        .spawn(move || {
+                            let _counted = counted;
+                            serve_connection(stream, &shared);
+                        });
                 }
             })
             .expect("spawn accept thread");
@@ -152,34 +190,58 @@ impl Drop for FarmServer {
     }
 }
 
+/// Answers one connection's requests in order until the client closes
+/// it, a read fails or times out ([`proto::IDLE_TIMEOUT`]), or a line
+/// exceeds [`MAX_LINE`].
 fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    if stream.set_nodelay(true).is_err()
+        || stream.set_read_timeout(Some(proto::IDLE_TIMEOUT)).is_err()
+    {
+        return;
+    }
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let too_large = line.len() > MAX_LINE && !line.ends_with(b"\n");
+        if !too_large && line.trim_ascii().is_empty() {
             continue;
         }
-        let response = handle_line(&line, shared);
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
+        let request = if too_large {
+            Err(RpcError::new(
+                ERR_REQUEST_TOO_LARGE,
+                format!("request line exceeds {MAX_LINE} bytes"),
+            ))
+        } else {
+            parse_request(line.trim_ascii_end())
+        };
+        let mut response = handle_request(request, shared);
+        response.push('\n');
+        // After an oversize line the rest of it is still unread, so the
+        // next line's start is unknown: answer, then close.
+        if writer.write_all(response.as_bytes()).is_err() || too_large {
             break;
         }
     }
 }
 
-fn handle_line(line: &str, shared: &Shared) -> String {
+fn handle_request(request: Result<Request, RpcError>, shared: &Shared) -> String {
     let start = Instant::now();
     let journal = shared.farm.journal();
     // One request, one correlation id: every journal event this request
     // causes — dispatch, scheduler quanta, device runs — carries it.
     let corr = journal.next_corr();
-    let (id, method, result) = match parse_request(line) {
+    let (id, method, result) = match request {
         Ok(req) => {
             journal.record(
                 Some(corr),
@@ -462,8 +524,16 @@ fn dispatch(method: &str, params: &Value, corr: u64, shared: &Shared) -> Result<
         "mem.read" => {
             let id = proto::p_u64(params, "session")?;
             let addr = proto::p_u32(params, "addr")?;
-            let count = proto::p_u64_or(params, "count", 1)? as usize;
-            let words = with_session(farm, id, |s| s.read_words(addr, count).map_err(device_err))?;
+            let count = proto::p_u64_or(params, "count", 1)?;
+            if count > proto::MAX_MEM_READ_WORDS {
+                return Err(RpcError::params(format!(
+                    "`count` {count} exceeds {}",
+                    proto::MAX_MEM_READ_WORDS
+                )));
+            }
+            let words = with_session(farm, id, |s| {
+                s.read_words(addr, count as usize).map_err(device_err)
+            })?;
             Ok(obj(vec![(
                 "words",
                 Value::Seq(words.into_iter().map(|w| vint(w as u64)).collect()),
@@ -542,7 +612,7 @@ fn dispatch(method: &str, params: &Value, corr: u64, shared: &Shared) -> Result<
         }
         "obs.latency" => {
             // Per-method request-latency quantiles from the histograms
-            // `handle_line` feeds; their `method` labels enumerate the
+            // `handle_request` feeds; their `method` labels enumerate the
             // methods seen so far.
             let registry = farm.telemetry().registry();
             let mut methods: Vec<String> = registry

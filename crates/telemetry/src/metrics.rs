@@ -48,6 +48,16 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Adds `delta` (which may be negative) to the gauge atomically, so
+    /// concurrent holders can count something up and down.
+    pub fn add(&self, delta: f64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
+    }
+
     /// The current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -472,6 +482,9 @@ mod tests {
         assert_eq!(g.get(), 0.75);
         g.set(0.25);
         assert_eq!(g.get(), 0.25);
+        g.add(2.0);
+        g.add(-1.0);
+        assert_eq!(g.get(), 1.25);
     }
 
     #[test]

@@ -56,7 +56,8 @@ cargo run --release -q -p mcds-bench --bin t13_farm -- --smoke
 for metric in farm_sessions_created_total farm_sessions_evicted_total \
               farm_sessions_revived_total farm_cycles_total \
               farm_cycles_batched_total \
-              farm_requests_total farm_request_latency_ns; do
+              farm_requests_total farm_request_latency_ns \
+              farm_connections_open; do
   grep -q "$metric" target/analysis/t13_farm_telemetry.prom \
     || { echo "missing $metric in t13_farm_telemetry.prom"; exit 1; }
 done

@@ -2,13 +2,18 @@
 //! socket: the full session lifecycle (create → run → breakpoint hit →
 //! evict → revive → run) must be bit-identical to a never-evicted
 //! control session, malformed and out-of-protocol requests must map to
-//! typed errors, and concurrent clients must not interfere.
+//! typed errors, and concurrent clients must not interfere. The wire
+//! itself must be fast (no Nagle stall) and bounded (line length,
+//! connection count).
 
 use mcds_farm::proto::{self, obj, vint, vstr};
 use mcds_farm::{client, ClientError, FarmClient, FarmConfig, FarmServer};
 use mcds_telemetry::Telemetry;
 use mcds_workloads::Workload;
-use std::net::SocketAddr;
+use serde::Value;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 fn spawn_server(tag: &str) -> (FarmServer, SocketAddr) {
     let config = FarmConfig {
@@ -337,4 +342,166 @@ fn revived_batched_session_matches_per_cycle_control() {
             .expect_err("bad mode");
         assert_eq!(rpc_code(err), proto::ERR_INVALID_PARAMS);
     }
+}
+
+/// Looks `key` up in a JSON object.
+fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+    match v {
+        Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Sends raw bytes as one line on `stream` and returns the error code of
+/// the response, or `None` for an `ok` response.
+fn raw_round_trip(stream: &mut BufReader<TcpStream>, bytes: &[u8]) -> Option<i64> {
+    let mut message = bytes.to_vec();
+    message.push(b'\n');
+    stream.get_mut().write_all(&message).expect("send raw line");
+    let mut line = String::new();
+    let n = stream.read_line(&mut line).expect("read response");
+    assert!(n > 0, "server closed the connection instead of answering");
+    let response: Value = serde_json::from_str(line.trim_end()).expect("response is JSON");
+    let error = field(&response, "error")?;
+    match field(error, "code") {
+        Some(Value::Int(code)) => Some(*code as i64),
+        _ => panic!("error lacks a code: {line}"),
+    }
+}
+
+/// Round trips are not held back by Nagle's algorithm: each costs the
+/// handler's time, not a delayed ACK (~85 ms each before both ends set
+/// `TCP_NODELAY` and sent one write per message).
+#[test]
+fn sequential_round_trips_do_not_stall() {
+    let (_server, addr) = spawn_server("latency");
+    let mut c = FarmClient::connect(addr).expect("connect");
+    let id = c.create("engine", false).expect("create");
+    let health = obj(vec![("session", vint(id))]);
+    let start = Instant::now();
+    for _ in 0..50 {
+        c.call("health.pull", health.clone()).expect("health.pull");
+    }
+    let wall = start.elapsed();
+    assert!(
+        wall < Duration::from_secs(1),
+        "50 health.pull round trips took {wall:?}"
+    );
+    c.destroy(id).expect("destroy");
+}
+
+/// Bad lines get typed errors and touch nothing else: an oversize line
+/// closes only its own connection, a non-UTF-8 or garbage line leaves its
+/// connection open, and other sessions keep their state.
+#[test]
+fn bad_lines_are_typed_and_isolated() {
+    let (_server, addr) = spawn_server("badlines");
+    let mut owner = FarmClient::connect(addr).expect("connect");
+    let a = owner.create("engine", false).expect("create");
+    let b = owner.create("gearbox", false).expect("create");
+    owner.run(a, 30_000).expect("run");
+    owner.run(b, 30_000).expect("run");
+    let hashes = (
+        owner.state_hash(a).expect("hash"),
+        owner.state_hash(b).expect("hash"),
+    );
+
+    // Oversize: a typed refusal, then the connection closes.
+    let mut big = FarmClient::connect(addr).expect("connect");
+    let err = big
+        .call_raw(&"x".repeat(proto::MAX_LINE + 1))
+        .expect_err("oversize line must fail");
+    assert_eq!(rpc_code(err), proto::ERR_REQUEST_TOO_LARGE);
+    assert!(
+        big.call("farm.ping", obj(vec![])).is_err(),
+        "the connection must close after an oversize line"
+    );
+
+    // A line of exactly the limit is read whole (and is merely not JSON).
+    let mut at_limit = FarmClient::connect(addr).expect("connect");
+    let err = at_limit
+        .call_raw(&"x".repeat(proto::MAX_LINE))
+        .expect_err("non-JSON line must fail");
+    assert_eq!(rpc_code(err), proto::ERR_PARSE);
+
+    // Non-UTF-8 and garbage JSON: parse errors on a connection that stays
+    // open.
+    let mut raw = BufReader::new(TcpStream::connect(addr).expect("connect"));
+    assert_eq!(
+        raw_round_trip(&mut raw, b"\xff\xfe{\"method\": \"farm.ping\"}"),
+        Some(proto::ERR_PARSE)
+    );
+    assert_eq!(
+        raw_round_trip(&mut raw, b"{\"method\": farm.ping}}"),
+        Some(proto::ERR_PARSE)
+    );
+    assert_eq!(
+        raw_round_trip(&mut raw, br#"{"id": 1, "method": "farm.ping"}"#),
+        None
+    );
+
+    assert_eq!(
+        (
+            owner.state_hash(a).expect("hash"),
+            owner.state_hash(b).expect("hash"),
+        ),
+        hashes,
+        "bad lines on other connections must not touch these sessions"
+    );
+    let mut fresh = FarmClient::connect(addr).expect("connect");
+    fresh.call("farm.ping", obj(vec![])).expect("fresh ping");
+}
+
+/// One connection past the cap gets the typed refusal; the connections
+/// already open keep working.
+#[test]
+fn connections_over_the_cap_are_refused() {
+    let (server, addr) = spawn_server("conncap");
+    let mut open: Vec<FarmClient> = (0..proto::MAX_CONNECTIONS)
+        .map(|_| FarmClient::connect(addr).expect("connect"))
+        .collect();
+    // A ping on each proves the server has accepted and counted it.
+    for c in &mut open {
+        c.call("farm.ping", obj(vec![]))
+            .expect("ping under the cap");
+    }
+    let gauge = server
+        .farm()
+        .telemetry()
+        .registry()
+        .gauge("farm_connections_open", "Open wire connections");
+    assert_eq!(gauge.get(), proto::MAX_CONNECTIONS as f64);
+
+    let mut extra = FarmClient::connect(addr).expect("tcp connect");
+    let err = extra
+        .call("farm.ping", obj(vec![]))
+        .expect_err("over the cap must be refused");
+    assert_eq!(rpc_code(err), proto::ERR_TOO_MANY_CONNECTIONS);
+
+    for c in [0, proto::MAX_CONNECTIONS - 1] {
+        open[c]
+            .call("farm.ping", obj(vec![]))
+            .expect("open connection still served");
+    }
+}
+
+#[test]
+fn oversized_mem_read_is_refused() {
+    let (_server, addr) = spawn_server("memread");
+    let mut c = FarmClient::connect(addr).expect("connect");
+    let id = c.create("engine", false).expect("create");
+    let read = |count: u64| {
+        obj(vec![
+            ("session", vint(id)),
+            ("addr", vint(0xD000_0000)),
+            ("count", vint(count)),
+        ])
+    };
+    let err = c
+        .call("mem.read", read(proto::MAX_MEM_READ_WORDS + 1))
+        .expect_err("count over the limit must fail");
+    assert_eq!(rpc_code(err), proto::ERR_INVALID_PARAMS);
+    let ok = c.call("mem.read", read(4)).expect("read under the limit");
+    assert!(matches!(field(&ok, "words"), Some(Value::Seq(w)) if w.len() == 4));
+    c.destroy(id).expect("destroy");
 }
