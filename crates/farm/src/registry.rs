@@ -792,6 +792,42 @@ mod tests {
     }
 
     #[test]
+    fn failed_snapshot_write_revives_in_place() {
+        // An evict_dir under a regular file cannot be created, so every
+        // snapshot write fails.
+        let blocker =
+            std::env::temp_dir().join(format!("mcds-farm-test-{}-not-a-dir", std::process::id()));
+        std::fs::write(&blocker, b"a file, not a directory").unwrap();
+        let farm = Farm::new(
+            FarmConfig {
+                evict_dir: blocker.join("evict"),
+                ..Default::default()
+            },
+            Telemetry::new(),
+        );
+        let id = farm.create(Workload::Engine, false).unwrap();
+        let mut s = farm.checkout(id).unwrap();
+        let ran = s.run(40_000).ran;
+        let hash_before = s.state_hash();
+        farm.checkin(id, s, ran);
+
+        let err = farm.evict(id).unwrap_err();
+        assert_eq!(err.code, ERR_SNAPSHOT);
+        let infos = farm.list();
+        let info = infos.iter().find(|s| s.id == id).unwrap();
+        assert_eq!(info.state, "live", "the session stays resident");
+        assert_eq!(farm.stats().evicted, 0);
+
+        let mut s = farm.checkout(id).unwrap();
+        assert_eq!(s.state_hash(), hash_before, "revived bit-identically");
+        let ran = s.run(10_000).ran;
+        assert_eq!(ran, 10_000, "the revived session runs on");
+        farm.checkin(id, s, ran);
+        farm.destroy(id).unwrap();
+        std::fs::remove_file(&blocker).unwrap();
+    }
+
+    #[test]
     fn budget_pressure_evicts_least_recently_used() {
         // Budget for exactly two resident sessions.
         let farm = test_farm(2 * SESSION_RESIDENT_BYTES);

@@ -41,7 +41,6 @@
 pub mod device;
 pub mod faults;
 pub mod interface;
-pub mod multichip;
 pub mod service;
 pub mod telemetry;
 pub mod trace_sink;
@@ -54,7 +53,6 @@ pub use faults::{
     DownWindow, FaultInjector, FaultInjectorState, FaultPlan, FaultPlanError, FaultStats, FrameFate,
 };
 pub use interface::{InterfaceKind, InterfaceModel, InterfaceModelError, LinkStats};
-pub use multichip::{MultiChipBench, TriggerWire};
 pub use service::{
     ConsistencyChecker, ConsistencyRule, PerfMonitor, ServiceProcessor, ServiceState,
 };

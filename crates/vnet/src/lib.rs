@@ -16,9 +16,9 @@
 //!   reusing `mcds_psi::faults`.
 //! - [`node`] — the per-ECU bus adapter: cyclic transmission of output
 //!   ports, reception into input ports, and the bus-carried trigger
-//!   fabric that generalizes the wired `TriggerWire` of
-//!   `mcds_psi::multichip` to frame transport (an engine comparator hit
-//!   halts the gearbox ECU a bounded number of frame-times later).
+//!   fabric, the one path a trigger pulse takes from device to device
+//!   (an engine comparator hit halts the gearbox ECU a bounded number of
+//!   frame-times later).
 //! - [`gateway`] — table-driven store-and-forward routing between bus
 //!   segments.
 //! - [`vehicle`] — the lockstep scheduler tying devices, segments and

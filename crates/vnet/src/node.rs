@@ -27,7 +27,7 @@ pub const TRIGGER_ID_BASE: u16 = 0x000;
 pub const TRIGGER_ID_SPAN: u16 = 0x010;
 
 /// How many vehicle cycles a delivered trigger frame holds the
-/// destination line high (matches the trigger-wire pulse width).
+/// destination line high.
 pub const TRIGGER_PULSE_CYCLES: u64 = 2;
 
 /// The arbitration id of trigger frames sent by ECU `src_ecu`.
@@ -93,8 +93,7 @@ pub struct NodeConfig {
 /// Serializable runtime state of an [`EcuNode`].
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq, Eq)]
 pub struct NodeState {
-    seen_mcds_pulses: usize,
-    seen_app_pulses: usize,
+    pulse_watermark: u64,
     line_deadlines: Vec<(u8, u64)>,
     trigger_frames_sent: u64,
     frames_received: u64,
@@ -107,10 +106,14 @@ pub struct EcuNode {
     /// The fleet-wide index of this ECU (encoded into trigger frames).
     ecu_index: usize,
     /// The trigger-in lines this node owns; levels outside the mask are
-    /// never rewritten (a host or bench layer may hold them).
+    /// never rewritten (a host, stimulus or replayed input log may hold
+    /// them).
     owned_lines: u32,
-    seen_mcds_pulses: usize,
-    seen_app_pulses: usize,
+    /// Device cycle of the last trigger poll: both trigger-out logs are
+    /// stamped in device cycles, and every pulse stamped at or after it
+    /// is still to be forwarded. A cycle, not a log index, because
+    /// `Periph::clear_history` may empty the app log between polls.
+    pulse_watermark: u64,
     /// Pending `(line, deassert_at_vehicle_cycle)` pulses.
     line_deadlines: Vec<(u8, u64)>,
     trigger_frames_sent: u64,
@@ -119,20 +122,31 @@ pub struct EcuNode {
 
 impl EcuNode {
     /// A node for fleet ECU `ecu_index` wired per `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on wiring the fabric cannot carry: a zero `TxRule` period,
+    /// a `TriggerRx` line outside the 32 trigger-in lines, or trigger
+    /// pins to send from an ECU index with no trigger frame id
+    /// ([`TRIGGER_ID_SPAN`]).
     pub fn new(ecu_index: usize, cfg: NodeConfig) -> EcuNode {
-        let owned_lines = cfg
-            .trigger_rx
-            .iter()
-            .fold(0u32, |mask, r| mask | (1 << r.line));
         for rule in &cfg.tx {
             assert!(rule.period > 0, "TxRule period must be nonzero");
         }
+        let mut owned_lines = 0u32;
+        for rule in &cfg.trigger_rx {
+            assert!(rule.line < 32, "TriggerRx line {} out of range", rule.line);
+            owned_lines |= 1 << rule.line;
+        }
+        assert!(
+            cfg.trigger_tx_pins == 0 || ecu_index < TRIGGER_ID_SPAN as usize,
+            "ECU {ecu_index} has no trigger frame id"
+        );
         EcuNode {
             cfg,
             ecu_index,
             owned_lines,
-            seen_mcds_pulses: 0,
-            seen_app_pulses: 0,
+            pulse_watermark: 0,
             line_deadlines: Vec::new(),
             trigger_frames_sent: 0,
             frames_received: 0,
@@ -160,32 +174,32 @@ impl EcuNode {
                 out.push(CanFrame::word(rule.id, value, slot));
             }
         }
-        if self.cfg.trigger_tx_pins != 0 {
-            let mut fired: Vec<u8> = Vec::new();
+        let wired = self.cfg.trigger_tx_pins;
+        if wired != 0 {
+            let id = trigger_frame_id(self.ecu_index);
+            let rasters = out.len();
             let mcds_log = dev.trigger_out_log();
-            for &(_, pin) in &mcds_log[self.seen_mcds_pulses..] {
-                fired.push(pin);
+            let fresh = mcds_log.partition_point(|&(c, _)| c < self.pulse_watermark);
+            for &(_, pin) in &mcds_log[fresh..] {
+                // A pin past the 32-bit mask cannot be wired: ignored.
+                if 1u32
+                    .checked_shl(pin.into())
+                    .is_some_and(|bit| wired & bit != 0)
+                {
+                    out.push(CanFrame::new(id, &[pin], slot));
+                }
             }
-            self.seen_mcds_pulses = mcds_log.len();
             let app_log = dev.soc().periph().trigger_out_pulses();
-            for &(_, mask) in &app_log[self.seen_app_pulses..] {
+            let fresh = app_log.partition_point(|&(c, _)| c < self.pulse_watermark);
+            for &(_, mask) in &app_log[fresh..] {
                 for pin in 0..32u8 {
-                    if mask & (1 << pin) != 0 {
-                        fired.push(pin);
+                    if mask & wired & (1 << pin) != 0 {
+                        out.push(CanFrame::new(id, &[pin], slot));
                     }
                 }
             }
-            self.seen_app_pulses = app_log.len();
-            for pin in fired {
-                if self.cfg.trigger_tx_pins & (1 << pin) != 0 {
-                    self.trigger_frames_sent += 1;
-                    out.push(CanFrame::new(
-                        trigger_frame_id(self.ecu_index),
-                        &[pin],
-                        slot,
-                    ));
-                }
-            }
+            self.trigger_frames_sent += (out.len() - rasters) as u64;
+            self.pulse_watermark = dev.soc().cycle();
         }
         out
     }
@@ -241,8 +255,7 @@ impl EcuNode {
     /// Captures the node's runtime state.
     pub fn save_state(&self) -> NodeState {
         NodeState {
-            seen_mcds_pulses: self.seen_mcds_pulses,
-            seen_app_pulses: self.seen_app_pulses,
+            pulse_watermark: self.pulse_watermark,
             line_deadlines: self.line_deadlines.clone(),
             trigger_frames_sent: self.trigger_frames_sent,
             frames_received: self.frames_received,
@@ -251,8 +264,7 @@ impl EcuNode {
 
     /// Restores state captured by [`EcuNode::save_state`].
     pub fn restore_state(&mut self, state: &NodeState) {
-        self.seen_mcds_pulses = state.seen_mcds_pulses;
-        self.seen_app_pulses = state.seen_app_pulses;
+        self.pulse_watermark = state.pulse_watermark;
         self.line_deadlines = state.line_deadlines.clone();
         self.trigger_frames_sent = state.trigger_frames_sent;
         self.frames_received = state.frames_received;
@@ -331,9 +343,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        // The source app pulses TRIG_OUT pins 0 and 1; only pin 1 is wired.
+        // The source app pulses TRIG_OUT pins 0 and 1 at cycle 7; only pin
+        // 1 is wired.
         use mcds_soc::bus::BusTarget;
         use mcds_soc::isa::MemWidth;
+        src_dev.run_cycles(10);
         src_dev
             .soc_mut()
             .periph_mut()
@@ -344,13 +358,85 @@ mod tests {
         assert_eq!(frames[0].id, trigger_frame_id(3));
         assert_eq!(frames[0].data, vec![1]);
         assert_eq!(src.trigger_frames_sent(), 1);
+        assert!(src.poll_tx(&src_dev, 11, 0).is_empty(), "sent once");
+
+        // An outside layer (host, stimulus) holds line 5 on the
+        // destination and line 2 on the source, which owns no lines.
+        dst_dev.soc_mut().periph_mut().set_trigger_in(1 << 5);
+        src_dev.soc_mut().periph_mut().set_trigger_in(1 << 2);
 
         assert!(dst.receive(&mut dst_dev, &frames[0], 100));
         dst.apply_trigger_levels(&mut dst_dev, 100);
-        assert_eq!(dst_dev.soc().periph().trigger_in(), 1 << 4);
-        // The pulse expires after TRIGGER_PULSE_CYCLES.
+        assert_eq!(dst_dev.soc().periph().trigger_in(), 1 << 4 | 1 << 5);
+        // The pulse expires after TRIGGER_PULSE_CYCLES; the unowned line
+        // passes through every rewrite.
         dst.apply_trigger_levels(&mut dst_dev, 100 + TRIGGER_PULSE_CYCLES);
-        assert_eq!(dst_dev.soc().periph().trigger_in(), 0);
+        assert_eq!(dst_dev.soc().periph().trigger_in(), 1 << 5);
+        src.apply_trigger_levels(&mut src_dev, 100);
+        assert_eq!(src_dev.soc().periph().trigger_in(), 1 << 2);
+    }
+
+    #[test]
+    fn trigger_out_pins_past_the_mask_are_ignored() {
+        use mcds::observer::CoreTraceConfig;
+        use mcds::{CrossTrigger, McdsConfig, SignalRef, TriggerAction};
+        // External pin 0 fires trigger-out pins 40 and 0 in one cycle.
+        let fire = |pin| {
+            CrossTrigger::on_any(
+                vec![SignalRef::ExternalPin(0)],
+                TriggerAction::TriggerOutPin(pin),
+            )
+        };
+        let mut dev = DeviceBuilder::new(DeviceVariant::EdSideBooster)
+            .cores(1)
+            .mcds(McdsConfig {
+                cores: vec![CoreTraceConfig::default()],
+                cross_triggers: vec![fire(40), fire(0)],
+                ..Default::default()
+            })
+            .build();
+        dev.soc_mut().periph_mut().set_trigger_in(1);
+        dev.run_cycles(4);
+        let pins: Vec<u8> = dev.trigger_out_log().iter().map(|&(_, p)| p).collect();
+        assert_eq!(pins, vec![40, 0]);
+        let mut node = EcuNode::new(
+            0,
+            NodeConfig {
+                trigger_tx_pins: u32::MAX,
+                ..Default::default()
+            },
+        );
+        let frames = node.poll_tx(&dev, 4, 0);
+        assert_eq!(frames.len(), 1, "only the in-range pin is sent");
+        assert_eq!(frames[0].data, vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "TriggerRx line 32 out of range")]
+    fn trigger_rx_line_past_the_mask_is_rejected_at_build() {
+        EcuNode::new(
+            0,
+            NodeConfig {
+                trigger_rx: vec![TriggerRx {
+                    src_ecu: 1,
+                    src_pin: 0,
+                    line: 32,
+                }],
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "has no trigger frame id")]
+    fn trigger_sender_past_the_id_span_is_rejected_at_build() {
+        EcuNode::new(
+            TRIGGER_ID_SPAN as usize,
+            NodeConfig {
+                trigger_tx_pins: 1,
+                ..Default::default()
+            },
+        );
     }
 
     #[test]

@@ -9,6 +9,13 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 
+# Examples: each asserts its scenario (dual_ecu: the cross-ECU trigger
+# latency over the CAN fabric) and exits non-zero on a regression.
+for example in quickstart calibration_session dual_ecu trace_filtering \
+               race_hunt performance_monitor; do
+  cargo run --release -q --example "$example" >/dev/null
+done
+
 # Analysis pipeline smoke: real workloads through the PSI trace path,
 # emitting timeline + coverage artifacts under target/analysis/.
 cargo run --release -q -p mcds-bench --bin t8_profiling -- --smoke

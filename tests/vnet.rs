@@ -2,13 +2,14 @@
 //! 4-ECU fabric must replay bit-identically (state hash AND decoded
 //! per-ECU trace, live vs from-scratch vs snapshot-resumed) under
 //! arbitrary stimulus/bus-fault schedules, fleet calibration swaps must
-//! be atomic under link faults, a comparator hit on one ECU must halt
-//! another across the bus within bounded frame latency, and per-vehicle
-//! DAQ must merge into one time-aligned stream.
+//! be atomic under link faults, a trigger pulse on one ECU (MCDS
+//! comparator, relayed through a third ECU, or software-written) must
+//! halt, suspend or resume another across the bus within bounded frame
+//! latency, and per-vehicle DAQ must merge into one time-aligned stream.
 
 use mcds::observer::{CoreTraceConfig, TraceQualifier};
 use mcds::{AccessKind, CrossTrigger, DataComparator, McdsConfig, SignalRef, TriggerAction};
-use mcds_psi::device::{DeviceBuilder, DeviceVariant};
+use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
 use mcds_psi::faults::FaultPlan;
 use mcds_psi::interface::InterfaceKind;
 use mcds_replay::trace_bytes;
@@ -226,35 +227,85 @@ fn fleet_cal_swap_is_atomic_under_link_faults() {
     assert_eq!(page_of(&mut v, 1), 1, "gearbox never switched");
 }
 
-#[test]
-fn bus_trigger_halts_the_remote_ecu_within_bounded_latency() {
-    // Source ECU: a data comparator on the 20th torque write pulses
-    // trigger-out pin 0 (the TriggerWire scenario, now bus-carried).
-    let mut cfg_src = McdsConfig {
-        cores: vec![CoreTraceConfig {
-            data_comparators: vec![DataComparator::on(
-                AddrRange::new(0xD000_0004, 4),
-                AccessKind::Write,
-            )],
-            ..Default::default()
-        }],
+/// A single-core ECU device running `program`, with `mcds` installed.
+fn ecu_device(mcds: Option<McdsConfig>, program: &str) -> Device {
+    let mut b = DeviceBuilder::new(DeviceVariant::EdSideBooster).cores(1);
+    if let Some(cfg) = mcds {
+        b = b.mcds(cfg);
+    }
+    let mut d = b.build();
+    d.soc_mut().load_program(&assemble(program).unwrap());
+    d
+}
+
+/// A free-running ECU whose MCDS maps external trigger-in lines to
+/// actions, `(line, action)` each.
+fn pin_driven_device(on_pins: Vec<(u8, TriggerAction)>) -> Device {
+    let cfg = McdsConfig {
+        cores: vec![CoreTraceConfig::default()],
+        cross_triggers: on_pins
+            .into_iter()
+            .map(|(line, action)| CrossTrigger::on_any(vec![SignalRef::ExternalPin(line)], action))
+            .collect(),
         ..Default::default()
     };
-    cfg_src.cross_triggers = vec![CrossTrigger::on_any(
-        vec![SignalRef::DataComp {
-            core: CoreId(0),
-            idx: 0,
-        }],
-        TriggerAction::TriggerOutPin(0),
-    )
-    .with_count(20)];
-    let mut src = DeviceBuilder::new(DeviceVariant::EdSideBooster)
-        .cores(1)
-        .mcds(cfg_src)
-        .build();
-    src.soc_mut().load_program(
-        &assemble(
-            "
+    ecu_device(Some(cfg), ".org 0x80000000\nloop: addi r1, r1, 1\nj loop")
+}
+
+/// A segment-0 ECU slot.
+fn ecu_on_bus(name: &str, device: Device, node: NodeConfig) -> EcuSpec {
+    EcuSpec {
+        name: name.into(),
+        segment: 0,
+        device,
+        node,
+    }
+}
+
+/// Steps `v` until `done` holds, at most `limit` cycles; the vehicle
+/// cycle it first held at.
+fn step_until(v: &mut Vehicle, limit: u64, done: impl Fn(&Vehicle) -> bool) -> Option<u64> {
+    for _ in 0..limit {
+        v.step();
+        if done(v) {
+            return Some(v.cycle());
+        }
+    }
+    None
+}
+
+/// The bus trigger fabric, fed by each pulse source: an MCDS comparator
+/// (one hop, and relayed through a second ECU's MCDS), and software
+/// writes to `TRIG_OUT`. Latencies are measured from the source pulse's
+/// device-cycle stamp; every device ticks once per vehicle cycle from 0,
+/// so stamps and vehicle cycles share a clock.
+#[test]
+fn bus_trigger_halts_the_remote_ecu_within_bounded_latency() {
+    // One hop: a 1-byte standard frame is 47 + 8 = 55 bits at 4
+    // cycles/bit, plus the pulse width and per-step scheduling slack.
+    let hop = 55 * 4 + 60;
+    // Source ECU: a data comparator on the 20th torque write pulses
+    // trigger-out pin 0.
+    let comparator_source = || {
+        let cfg = McdsConfig {
+            cores: vec![CoreTraceConfig {
+                data_comparators: vec![DataComparator::on(
+                    AddrRange::new(0xD000_0004, 4),
+                    AccessKind::Write,
+                )],
+                ..Default::default()
+            }],
+            cross_triggers: vec![CrossTrigger::on_any(
+                vec![SignalRef::DataComp {
+                    core: CoreId(0),
+                    idx: 0,
+                }],
+                TriggerAction::TriggerOutPin(0),
+            )
+            .with_count(20)],
+            ..Default::default()
+        };
+        let program = "
             .org 0x80000000
             start:
                 li r2, 0xD0000004
@@ -262,78 +313,140 @@ fn bus_trigger_halts_the_remote_ecu_within_bounded_latency() {
                 addi r1, r1, 1
                 sw r1, 0(r2)
                 j loop
-            ",
-        )
-        .unwrap(),
-    );
-
-    // Destination ECU: break its core when external pin 0 rises.
-    let cfg_dst = McdsConfig {
-        cores: vec![CoreTraceConfig::default()],
-        cross_triggers: vec![CrossTrigger::on_any(
-            vec![SignalRef::ExternalPin(0)],
-            TriggerAction::BreakCores(vec![CoreId(0)]),
-        )],
+            ";
+        ecu_device(Some(cfg), program)
+    };
+    let send_pins = |pins| NodeConfig {
+        trigger_tx_pins: pins,
         ..Default::default()
     };
-    let mut dst = DeviceBuilder::new(DeviceVariant::EdSideBooster)
-        .cores(1)
-        .mcds(cfg_dst)
-        .build();
-    dst.soc_mut()
-        .load_program(&assemble(".org 0x80000000\nloop: addi r1, r1, 1\nj loop").unwrap());
+    let rx = |src_ecu, src_pin, line| TriggerRx {
+        src_ecu,
+        src_pin,
+        line,
+    };
+    let halted = |v: &Vehicle, i| v.device(i).soc().core(CoreId(0)).is_halted();
+    let suspended = |v: &Vehicle, i| v.device(i).soc().core(CoreId(0)).is_suspended();
 
+    // 1. Comparator → bus → the destination breaks on external pin 0.
     let mut v = Vehicle::builder()
         .segments(1)
-        .ecu(EcuSpec {
-            name: "engine".into(),
-            segment: 0,
-            device: src,
-            node: NodeConfig {
-                trigger_tx_pins: 1 << 0,
+        .ecu(ecu_on_bus("engine", comparator_source(), send_pins(1 << 0)))
+        .ecu(ecu_on_bus(
+            "gearbox",
+            pin_driven_device(vec![(0, TriggerAction::BreakCores(vec![CoreId(0)]))]),
+            NodeConfig {
+                trigger_rx: vec![rx(0, 0, 0)],
                 ..Default::default()
             },
-        })
-        .ecu(EcuSpec {
-            name: "gearbox".into(),
-            segment: 0,
-            device: dst,
-            node: NodeConfig {
-                trigger_rx: vec![TriggerRx {
-                    src_ecu: 0,
-                    src_pin: 0,
-                    line: 0,
-                }],
-                ..Default::default()
-            },
-        })
+        ))
         .build();
-
-    let mut halted_at = None;
-    for _ in 0..5_000 {
-        v.step();
-        if v.device(1).soc().core(CoreId(0)).is_halted() {
-            halted_at = Some(v.cycle());
-            break;
-        }
-    }
-    let halted_at = halted_at.expect("trigger frame must halt the remote ECU");
+    let halted_at = step_until(&mut v, 5_000, |v| halted(v, 1))
+        .expect("trigger frame must halt the remote ECU");
     let &(pulse_cycle, pin) = v
         .device(0)
         .trigger_out_log()
         .first()
         .expect("comparator fired");
     assert_eq!(pin, 0);
-    // Bounded frame latency: one 1-byte standard frame is 47 + 8 = 55 bits
-    // at 4 cycles/bit, plus the pulse width and per-step scheduling slack.
-    // Both devices tick once per vehicle cycle from 0, so the device-cycle
-    // stamp and the vehicle cycle share a clock.
     let latency = halted_at - pulse_cycle;
-    assert!(latency <= 55 * 4 + 60, "halt latency {latency} cycles");
+    assert!(latency <= hop, "halt latency {latency} cycles");
+    assert!(!halted(&v, 0), "the source ECU keeps running");
+
+    // 2. Transitive relay A → B → C: B's external pin 0 re-fires its
+    //    trigger-out pin 1, which only C listens to.
+    let mut v = Vehicle::builder()
+        .segments(1)
+        .ecu(ecu_on_bus("a", comparator_source(), send_pins(1 << 0)))
+        .ecu(ecu_on_bus(
+            "b",
+            pin_driven_device(vec![(0, TriggerAction::TriggerOutPin(1))]),
+            NodeConfig {
+                trigger_tx_pins: 1 << 1,
+                trigger_rx: vec![rx(0, 0, 0)],
+                ..Default::default()
+            },
+        ))
+        .ecu(ecu_on_bus(
+            "c",
+            pin_driven_device(vec![(0, TriggerAction::BreakCores(vec![CoreId(0)]))]),
+            NodeConfig {
+                trigger_rx: vec![rx(1, 1, 0)],
+                ..Default::default()
+            },
+        ))
+        .build();
+    let halted_at = step_until(&mut v, 5_000, |v| halted(v, 2))
+        .expect("the relayed trigger must halt the last ECU");
+    let &(pulse_cycle, _) = v.device(0).trigger_out_log().first().expect("A fired");
+    assert_eq!(v.device(1).trigger_out_log().len(), 1, "B relayed once");
+    let latency = halted_at - pulse_cycle;
+    assert!(latency <= 2 * hop, "two-hop halt latency {latency} cycles");
     assert!(
-        !v.device(0).soc().core(CoreId(0)).is_halted(),
-        "the source ECU keeps running"
+        !halted(&v, 0) && !halted(&v, 1),
+        "only the final hop breaks"
     );
+
+    // 3. Software pulses: the source app writes TRIG_OUT pin 0 (suspend
+    //    the destination), then pin 1 (resume it). Its pulse history is
+    //    cleared between the two, and the later pulse must still cross.
+    let app_source = ecu_device(
+        None,
+        "
+        .equ TRIG_OUT, 0xF0000300
+        .org 0x80000000
+        start:
+            li r2, TRIG_OUT
+            li r3, 40
+        wait1:
+            addi r3, r3, -1
+            bne r3, r0, wait1
+            li r1, 0b01
+            sw r1, 0(r2)        ; pulse pin 0 (suspend)
+            li r3, 1000
+        wait2:
+            addi r3, r3, -1
+            bne r3, r0, wait2
+            li r1, 0b10
+            sw r1, 0(r2)        ; pulse pin 1 (resume)
+            halt
+        ",
+    );
+    let mut v = Vehicle::builder()
+        .segments(1)
+        .ecu(ecu_on_bus("engine", app_source, send_pins(0b11)))
+        .ecu(ecu_on_bus(
+            "gearbox",
+            pin_driven_device(vec![
+                (0, TriggerAction::SuspendCores(vec![CoreId(0)])),
+                (1, TriggerAction::ResumeCores(vec![CoreId(0)])),
+            ]),
+            NodeConfig {
+                trigger_rx: vec![rx(0, 0, 0), rx(0, 1, 1)],
+                ..Default::default()
+            },
+        ))
+        .build();
+    let app_pulse = |v: &Vehicle, mask| {
+        let pulses = v.device(0).soc().periph().trigger_out_pulses();
+        assert_eq!(pulses.len(), 1, "one app pulse logged: {pulses:?}");
+        assert_eq!(pulses[0].1, mask);
+        pulses[0].0
+    };
+    let suspended_at = step_until(&mut v, 5_000, |v| suspended(v, 1))
+        .expect("the app pulse must suspend the remote ECU");
+    let latency = suspended_at - app_pulse(&v, 0b01);
+    assert!(latency <= hop, "suspend latency {latency} cycles");
+    let mid = v.device(1).soc().core(CoreId(0)).retired();
+
+    v.device_mut(0).soc_mut().periph_mut().clear_history();
+    let resumed_at = step_until(&mut v, 20_000, |v| !suspended(v, 1))
+        .expect("the app pulse after a history clear must resume the remote ECU");
+    let latency = resumed_at - app_pulse(&v, 0b10);
+    assert!(latency <= hop, "resume latency {latency} cycles");
+    v.run_cycles(100);
+    let end = v.device(1).soc().core(CoreId(0)).retired();
+    assert!(end > mid, "resumed and retired more ({mid} → {end})");
 }
 
 #[test]
