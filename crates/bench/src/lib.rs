@@ -8,7 +8,7 @@
 //! micro-benchmarks for the hot paths. See DESIGN.md for the experiment
 //! index and EXPERIMENTS.md for paper-vs-measured results.
 
-use mcds::observer::{CoreTraceConfig, DataTraceConfig, TraceQualifier};
+use mcds::observer::{DataTraceConfig, TraceQualifier};
 use mcds::McdsConfig;
 use mcds_psi::device::Device;
 use mcds_soc::event::{CycleRecord, SocEvent};
@@ -130,17 +130,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// An MCDS configuration with program trace always-on for `cores` cores and
 /// generous FIFO/sink settings (experiments override what they measure).
 pub fn tracing_config(cores: usize) -> McdsConfig {
-    McdsConfig {
-        cores: (0..cores)
-            .map(|_| CoreTraceConfig {
-                program_trace: TraceQualifier::Always,
-                ..Default::default()
-            })
-            .collect(),
-        fifo_depth: 4096,
-        sink_bandwidth: 8,
-        ..Default::default()
-    }
+    McdsConfig::program_trace(cores)
 }
 
 /// Adds always-on unfiltered data trace to every core of a config.

@@ -8,7 +8,6 @@
 //! uses), never wall-clock time or thread identity, so the whole campaign
 //! is a deterministic function of its seed.
 
-use mcds::observer::{CoreTraceConfig, TraceQualifier};
 use mcds::McdsConfig;
 use mcds_psi::device::{DebugOp, Device, DeviceBuilder, DeviceVariant};
 use mcds_psi::interface::InterfaceKind;
@@ -375,7 +374,7 @@ impl Scenario {
             builder = builder.core(cc);
         }
         let mut dev = builder
-            .mcds(Self::tracing_config(self.workload.cores()))
+            .mcds(McdsConfig::program_trace(self.workload.cores()))
             .build();
         dev.soc_mut().load_program(&self.workload.program());
         dev
@@ -391,20 +390,6 @@ impl Scenario {
         match serde_json::to_string(self) {
             Ok(json) => fnv1a64(json.as_bytes()),
             Err(_) => 0,
-        }
-    }
-
-    fn tracing_config(cores: usize) -> McdsConfig {
-        McdsConfig {
-            cores: (0..cores)
-                .map(|_| CoreTraceConfig {
-                    program_trace: TraceQualifier::Always,
-                    ..Default::default()
-                })
-                .collect(),
-            fifo_depth: 4096,
-            sink_bandwidth: 8,
-            ..Default::default()
         }
     }
 }

@@ -176,6 +176,26 @@ impl Default for McdsConfig {
     }
 }
 
+impl McdsConfig {
+    /// The standard tracing setup: always-on program trace on each of
+    /// `cores` cores, 4096-message FIFOs and a sink absorbing 8 messages
+    /// per drain — generous enough that program trace never overflows.
+    pub fn program_trace(cores: usize) -> McdsConfig {
+        McdsConfig {
+            cores: vec![
+                CoreTraceConfig {
+                    program_trace: TraceQualifier::Always,
+                    ..Default::default()
+                };
+                cores
+            ],
+            fifo_depth: 4096,
+            sink_bandwidth: 8,
+            ..Default::default()
+        }
+    }
+}
+
 /// Aggregate statistics of an MCDS session.
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct McdsStats {

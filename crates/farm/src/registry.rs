@@ -17,7 +17,6 @@
 //! triggers automatic least-recently-used eviction at checkin.
 
 use crate::proto::{RpcError, ERR_DEVICE, ERR_NO_SESSION, ERR_SNAPSHOT};
-use mcds::observer::{CoreTraceConfig, TraceQualifier};
 use mcds::McdsConfig;
 use mcds_host::{FleetHealth, Session, SessionSnapshot};
 use mcds_psi::device::{DeviceSpec, DeviceVariant};
@@ -77,18 +76,7 @@ pub fn device_spec(workload: Workload, trace: bool) -> DeviceSpec {
     DeviceSpec {
         variant: DeviceVariant::EdSideBooster,
         cores: workload.core_configs(),
-        mcds: trace.then(|| McdsConfig {
-            cores: vec![
-                CoreTraceConfig {
-                    program_trace: TraceQualifier::Always,
-                    ..Default::default()
-                };
-                workload.cores()
-            ],
-            fifo_depth: 4096,
-            sink_bandwidth: 8,
-            ..Default::default()
-        }),
+        mcds: trace.then(|| McdsConfig::program_trace(workload.cores())),
         with_dma: false,
         flash_wait_states: None,
     }
@@ -536,62 +524,36 @@ impl Farm {
         }
     }
 
-    /// Suspends one Live slot to disk. Caller must hold the lock and have
-    /// verified the slot is Live.
+    /// Writes one Live slot's snapshot to disk, then marks it Evicted. If
+    /// the write fails the session was never disturbed and stays Live.
+    /// Caller must hold the lock and have verified the slot is Live.
     fn evict_slot(&self, inner: &mut Inner, id: u64) -> Result<(usize, u64), RpcError> {
         let slot = inner.slots.get_mut(&id).expect("caller verified slot");
-        let SlotState::Live(session) = std::mem::replace(&mut slot.state, SlotState::Busy) else {
+        let SlotState::Live(session) = &slot.state else {
             unreachable!("caller verified Live");
         };
-        let snap = session.suspend();
+        let snap = session.snapshot();
         let state_hash = snap.state_hash();
         let path = self.config.evict_dir.join(format!("session_{id}.json"));
-        let write = mcds_replay::write_json_atomic(&path, &snap);
-        let slot = inner.slots.get_mut(&id).expect("slot still present");
-        match write {
-            Ok(bytes) => {
-                slot.state = SlotState::Evicted {
-                    path,
-                    state_hash,
-                    bytes,
-                };
-                inner.stats.evicted += 1;
-                inner.stats.evicted_bytes += bytes;
-                self.metrics.evicted.inc();
-                self.journal.record(
-                    None,
-                    None,
-                    mcds_obs::ObsEvent::SessionEvicted {
-                        session: id,
-                        bytes: bytes as u64,
-                    },
-                );
-                Ok((bytes, state_hash))
-            }
-            Err(e) => {
-                // Could not persist: revive in place from the snapshot we
-                // still hold, losing nothing.
-                let dev = slot.meta.spec.build();
-                let program = slot.meta.workload.program();
-                match Session::resume(dev, self.config.iface, &program, &snap) {
-                    Ok(s) => slot.state = SlotState::Live(Box::new(s)),
-                    Err(resume_err) => {
-                        // Unreachable in practice (we just suspended this
-                        // snapshot); leave the slot evicted-in-memory-less
-                        // rather than panic the service.
-                        slot.state = SlotState::Busy;
-                        return Err(RpcError::new(
-                            ERR_SNAPSHOT,
-                            format!("snapshot write failed ({e}) and in-place resume failed ({resume_err})"),
-                        ));
-                    }
-                }
-                Err(RpcError::new(
-                    ERR_SNAPSHOT,
-                    format!("snapshot write failed: {e}"),
-                ))
-            }
-        }
+        let bytes = mcds_replay::write_json_atomic(&path, &snap)
+            .map_err(|e| RpcError::new(ERR_SNAPSHOT, format!("snapshot write failed: {e}")))?;
+        slot.state = SlotState::Evicted {
+            path,
+            state_hash,
+            bytes,
+        };
+        inner.stats.evicted += 1;
+        inner.stats.evicted_bytes += bytes;
+        self.metrics.evicted.inc();
+        self.journal.record(
+            None,
+            None,
+            mcds_obs::ObsEvent::SessionEvicted {
+                session: id,
+                bytes: bytes as u64,
+            },
+        );
+        Ok((bytes, state_hash))
     }
 
     /// LRU-evicts live sessions while the resident estimate exceeds the

@@ -6,8 +6,8 @@
 //! the operation the multi-session debug farm is built on: an explicit
 //! [`Session::suspend`] / [`Session::resume`] pair.
 //!
-//! `suspend` folds the PR 3 detach/attach book-keeping
-//! ([`Debugger::detach_with_state`]) together with a full
+//! [`Session::snapshot`] (which `suspend` wraps) folds the debugger's
+//! book-keeping ([`Debugger::save_state`]) together with a full
 //! [`SocSnapshot`] into one serializable [`SessionSnapshot`]: breakpoint
 //! patches travel inside the memory image, the breakpoint *tables* inside
 //! the [`DebuggerState`], and the device state inside the snapshot.
@@ -327,17 +327,21 @@ impl Session {
         &mut self.dbg
     }
 
-    /// Suspends the session into a serializable snapshot: detaches the
-    /// debugger keeping its book-keeping (BRK patches stay in the memory
-    /// image) and captures the full device state.
-    pub fn suspend(self) -> SessionSnapshot {
-        let (dev, state) = self.dbg.detach_with_state();
+    /// Captures the session into a serializable snapshot without disturbing
+    /// it: the debugger's book-keeping (BRK patches stay in the memory
+    /// image) and the full device state.
+    pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             version: SESSION_SNAPSHOT_VERSION,
             cycles_run: self.cycles_run,
-            debugger: state,
-            soc: SocSnapshot::capture(&dev),
+            debugger: self.dbg.save_state(),
+            soc: SocSnapshot::capture(self.dbg.device()),
         }
+    }
+
+    /// Suspends the session: [`Session::snapshot`], then drops it.
+    pub fn suspend(self) -> SessionSnapshot {
+        self.snapshot()
     }
 
     /// Revives a suspended session onto `dev`, which must be built with a

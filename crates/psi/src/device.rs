@@ -1006,27 +1006,42 @@ impl Device {
         // that abandoned request, not this one.
         let _ = self.soc.take_debug_completion();
         self.soc.debug_request(request);
-        loop {
-            self.step_into(&mut NullSink);
-            if let Some(c) = self.soc.take_debug_completion() {
-                if let (Some(t0), Some(tel)) = (span_t0, self.telemetry.as_ref()) {
-                    tel.handle.span(
-                        Subsystem::BusArbitration,
-                        start_cycle,
-                        self.soc.cycle(),
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-                return match c.fault {
-                    Some(f) => Err(DeviceError::Bus(f)),
-                    None => Ok(c.rdata),
-                };
-            }
-            let waited = self.soc.cycle().saturating_sub(start_cycle);
-            if waited >= BUS_STARVATION_LIMIT {
-                self.soc.cancel_debug_request();
-                return Err(DeviceError::BusStarved { waited });
-            }
+        let waited = self.run_into(
+            BUS_STARVATION_LIMIT,
+            Some(HaltStop::DebugDone),
+            &mut NullSink,
+        );
+        let Some(c) = self.soc.take_debug_completion() else {
+            self.soc.cancel_debug_request();
+            return Err(DeviceError::BusStarved { waited });
+        };
+        if let (Some(t0), Some(tel)) = (span_t0, self.telemetry.as_ref()) {
+            tel.handle.span(
+                Subsystem::BusArbitration,
+                start_cycle,
+                self.soc.cycle(),
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
+        match c.fault {
+            Some(f) => Err(DeviceError::Bus(f)),
+            None => Ok(c.rdata),
+        }
+    }
+
+    /// Runs the device until `core` halts, for at most `max_cycles`.
+    fn run_until_core_halts(
+        &mut self,
+        core: CoreId,
+        max_cycles: u64,
+    ) -> Result<DebugResponse, DeviceError> {
+        if !self.soc.core(core).is_halted() {
+            self.run_into(max_cycles, Some(HaltStop::Core(core)), &mut NullSink);
+        }
+        if self.soc.core(core).is_halted() {
+            Ok(DebugResponse::Ack)
+        } else {
+            Err(DeviceError::CoreUnresponsive(core))
         }
     }
 
@@ -1079,13 +1094,7 @@ impl Device {
                 self.soc.core_mut(core).request_break();
                 // Supervise: a core stuck on a slow bus transaction still
                 // reaches its instruction boundary quickly.
-                for _ in 0..10_000 {
-                    if self.soc.core(core).is_halted() {
-                        return Ok(DebugResponse::Ack);
-                    }
-                    self.step_into(&mut NullSink);
-                }
-                Err(DeviceError::CoreUnresponsive(core))
+                self.run_until_core_halts(core, 10_000)
             }
             DebugOp::ResumeCore(core) => {
                 self.check_core(core)?;
@@ -1098,13 +1107,7 @@ impl Device {
                     return Err(DeviceError::CoreNotHalted(core));
                 }
                 self.soc.core_mut(core).step_instructions(n);
-                for _ in 0..10_000 * n.max(1) {
-                    if self.soc.core(core).is_halted() {
-                        return Ok(DebugResponse::Ack);
-                    }
-                    self.step_into(&mut NullSink);
-                }
-                Err(DeviceError::CoreUnresponsive(core))
+                self.run_until_core_halts(core, 10_000 * n.max(1))
             }
             DebugOp::ReadReg(core, r) => {
                 self.check_core(core)?;
@@ -1610,6 +1613,137 @@ mod tests {
         // The blink program writes 12..1; values above 5 violate the rule.
         let v = dev.service().unwrap().checker().violations();
         assert_eq!(v.len(), 7, "writes of 12..=6 flagged");
+    }
+
+    /// Everything `device_state_hash` covers: the device state and every
+    /// fitted memory image.
+    fn full_state(dev: &Device) -> (String, Vec<Option<Vec<u8>>>) {
+        use mcds_soc::soc::MemoryId;
+        let memories = [MemoryId::Flash, MemoryId::Sram, MemoryId::Emem]
+            .map(|id| dev.soc().memory_image(id).map(<[u8]>::to_vec));
+        (format!("{:?}", dev.save_state()), memories.to_vec())
+    }
+
+    /// The per-cycle reference for the ops `perform` advances time in:
+    /// step the device until the core halts or the access completes.
+    fn perform_stepped(dev: &mut Device, op: DebugOp) -> DebugResponse {
+        let step_until_halted = |dev: &mut Device, core| {
+            while !dev.soc().core(core).is_halted() {
+                dev.step_into(&mut NullSink);
+            }
+            DebugResponse::Ack
+        };
+        match op {
+            DebugOp::HaltCore(core) => {
+                dev.soc_mut().core_mut(core).request_break();
+                step_until_halted(dev, core)
+            }
+            DebugOp::StepCore(core, n) => {
+                dev.soc_mut().core_mut(core).step_instructions(n);
+                step_until_halted(dev, core)
+            }
+            DebugOp::ReadWords { addr, count } => DebugResponse::Words(
+                (0..count as u32)
+                    .map(|i| {
+                        dev.soc_mut().debug_request(BusRequest {
+                            addr: addr + 4 * i,
+                            width: MemWidth::Word,
+                            kind: XferKind::Read,
+                            wdata: 0,
+                        });
+                        loop {
+                            dev.step_into(&mut NullSink);
+                            if let Some(c) = dev.soc_mut().take_debug_completion() {
+                                break c.rdata;
+                            }
+                        }
+                    })
+                    .collect(),
+            ),
+            other => unreachable!("{other:?} does not advance time"),
+        }
+    }
+
+    #[test]
+    fn debug_ops_land_identically_in_both_exec_modes() {
+        let program = assemble(
+            "
+            .org 0x80000000
+            start:
+                li r2, 0xD0000000
+            loop:
+                addi r1, r1, 1
+                sw r1, 0(r2)
+                j loop
+            ",
+        )
+        .unwrap();
+        let ops = || {
+            [
+                DebugOp::HaltCore(CoreId(0)),
+                DebugOp::StepCore(CoreId(0), 3),
+                DebugOp::ReadWords {
+                    addr: memmap::SRAM_BASE,
+                    count: 4,
+                },
+                DebugOp::HaltCore(CoreId(1)),
+                DebugOp::StepCore(CoreId(1), 20),
+                DebugOp::ReadWords {
+                    addr: memmap::SRAM_BASE,
+                    count: 2,
+                },
+            ]
+        };
+        for traced in [false, true] {
+            let mut runs = Vec::new();
+            // `None` runs the per-cycle reference loops.
+            for mode in [
+                None,
+                Some(mcds_soc::ExecMode::PerCycle),
+                Some(mcds_soc::ExecMode::BlockBatched),
+            ] {
+                // Core 1 on a divided clock: once core 0 is halted, the
+                // kernel skips between its edges while stepping it.
+                let mut builder = DeviceBuilder::new(DeviceVariant::EdSideBooster)
+                    .cores(1)
+                    .core(mcds_soc::cpu::CoreConfig {
+                        clock_div: 4,
+                        ..Default::default()
+                    });
+                if traced {
+                    builder = builder.mcds(McdsConfig::program_trace(2));
+                }
+                let mut dev = builder.build();
+                dev.soc_mut().load_program(&program);
+                dev.set_exec_mode(mode.unwrap_or_default());
+                dev.run_cycles(300);
+                dev.reset_exec_stats();
+                let mut trail = Vec::new();
+                for op in ops() {
+                    let response = match mode {
+                        Some(_) => dev.perform(op).expect("op succeeds"),
+                        None => perform_stepped(&mut dev, op),
+                    };
+                    trail.push((format!("{response:?}"), dev.soc().cycle(), full_state(&dev)));
+                }
+                if !traced && mode == Some(mcds_soc::ExecMode::BlockBatched) {
+                    let stats = dev.exec_stats();
+                    assert!(
+                        stats.skipped_cycles + stats.block_cycles > 0,
+                        "ops ran through the kernel: {stats:?}"
+                    );
+                }
+                runs.push(trail);
+            }
+            assert!(
+                runs[0] == runs[1],
+                "traced {traced}: PerCycle left the reference"
+            );
+            assert!(
+                runs[0] == runs[2],
+                "traced {traced}: BlockBatched left the reference"
+            );
+        }
     }
 }
 

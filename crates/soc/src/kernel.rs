@@ -5,7 +5,9 @@
 //! happen: all cores halted waiting on a debugger, a timer armed far in
 //! the future, a divided core between its clock edges. This module
 //! replaces [`crate::soc::Soc::run_cycles`]'s per-cycle loop with a
-//! two-tier kernel:
+//! two-tier kernel. One private probe picks the tier for each cycle — skip
+//! to cycle N, run core i as a batched block, or step — from one walk over
+//! the cores and one read of each shared precondition:
 //!
 //! 1. **Event skip.** Every component exposes a `next_tick`-style wakeup
 //!    — cores on clock dividers ([`crate::cpu::Cpu`]), the bus arbiter,
@@ -46,7 +48,7 @@
 //! debug-master patches).
 
 use crate::bus::{Addr, AddrRange, BusRequest, MasterId, XferKind};
-use crate::event::{MemAccessInfo, StopCause};
+use crate::event::{CoreId, MemAccessInfo, StopCause};
 use crate::isa::{Instr, MemWidth};
 use crate::sink::CycleSink;
 use crate::soc::{Soc, SocTarget};
@@ -68,23 +70,39 @@ pub enum ExecMode {
     BlockBatched,
 }
 
-/// Which halted cores end a run early (see [`crate::soc::Soc::run_kernel`]).
+/// What ends a run early (see [`crate::soc::Soc::run_kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HaltStop {
     /// Stop once every core is halted.
     All,
     /// Stop on the cycle any core halts.
     Any,
+    /// Stop on the cycle this core halts.
+    Core(CoreId),
+    /// Stop on the cycle the debug master's bus access completes.
+    DebugDone,
 }
 
 impl HaltStop {
-    /// True if `soc`'s cores satisfy this stop condition.
+    /// True if `soc` satisfies this stop condition.
     pub fn reached(self, soc: &Soc) -> bool {
         match self {
             HaltStop::All => soc.cores.iter().all(|c| c.is_halted()),
             HaltStop::Any => soc.cores.iter().any(|c| c.is_halted()),
+            HaltStop::Core(c) => soc.core(c).is_halted(),
+            HaltStop::DebugDone => soc.debug_completion.is_some(),
         }
     }
+}
+
+/// How the kernel advances from the current cycle (see `Soc::probe`).
+enum Advance {
+    /// Nothing can change before this (future) cycle: jump there.
+    Skip(u64),
+    /// Run this core's straight-line code as a batched block.
+    Block(usize),
+    /// Take the exact per-cycle reference step.
+    Step,
 }
 
 /// Cycle-accounting counters for the execution kernel (derived state —
@@ -233,9 +251,9 @@ impl Soc {
         // loop checks the stop after stepping, so it still steps once.
         let exact = sink.wants_cycles() || self.exec.mode == ExecMode::PerCycle || stopped(self);
         while self.cycle < target {
-            if !exact {
-                let wake = self.next_wake_cycle();
-                if wake > self.cycle {
+            let advance = if exact { Advance::Step } else { self.probe() };
+            match advance {
+                Advance::Skip(wake) => {
                     // Nothing can change before `wake` (no core can halt
                     // either): jump straight there.
                     let skip = wake.min(target) - self.cycle;
@@ -244,12 +262,10 @@ impl Soc {
                     self.exec.stats.skipped_cycles += skip;
                     continue;
                 }
-            }
-            let batched = !exact && self.block_core().is_some_and(|c| self.run_block(c, target));
-            if !batched {
+                Advance::Block(core) if self.run_block(core, target) => {}
                 // Something is live this cycle (or the block layer could
                 // not make progress): step it exactly.
-                self.step_into(sink);
+                _ => self.step_into(sink),
             }
             if stopped(self) {
                 break;
@@ -258,87 +274,54 @@ impl Soc {
         self.cycle - start
     }
 
-    /// The earliest cycle at or after `now` at which stepping can change
-    /// architectural state — a min-fold over the component wakeups that
-    /// returns `now` as soon as any source is live; `u64::MAX` if nothing
-    /// is ever going to happen.
-    ///
-    /// Sources: each runnable core's next clock edge, the bus (any
-    /// queued/active request, or a set `last_xact` probe the next step
-    /// would clear — both hashed state), the DMA engine (any non-idle
-    /// phase, or a latched start command), external trigger-in edges not
-    /// yet surfaced, cores whose IRQ lines are out of sync with the
-    /// interrupt controller (the per-cycle machine re-drives them every
-    /// cycle), and the armed timer's next fire.
-    fn next_wake_cycle(&self) -> u64 {
+    /// The kernel's one decision point. Step while anything is live: a
+    /// queued or active bus request, DMA active or latched, an unsurfaced
+    /// trigger-in edge, a core IRQ line out of sync with the interrupt
+    /// controller (the per-cycle machine re-drives it), or the timer due.
+    /// Otherwise skip to the earliest runnable-core clock edge or timer
+    /// fire if it is in the future and no hashed `last_xact` probe awaits
+    /// clearing; failing that, batch the one runnable (not halted, not
+    /// suspended, any divider) core if it is [`crate::cpu::Cpu::block_ready`].
+    fn probe(&self) -> Advance {
         let now = self.cycle;
-        let mut wake = u64::MAX;
-        for core in &self.cores {
-            match core.next_wake(now) {
-                Some(w) if w == now => return now,
-                Some(w) => wake = wake.min(w),
-                None => {}
+        let periph = self.periph();
+        let irq = periph.irq_pending();
+        let timer = periph.timer_wake().unwrap_or(u64::MAX);
+        let mut wake = timer;
+        let mut runnable = None;
+        for (i, core) in self.cores.iter().enumerate() {
+            if core.irq_line() != irq {
+                return Advance::Step;
+            }
+            // `next_wake` is `None` exactly for halted or suspended cores.
+            if let Some(w) = core.next_wake(now) {
+                wake = wake.min(w);
+                // Two live masters, one of them due now, can contend on
+                // the bus: exact arbitration requires per-cycle stepping.
+                // (With all of them divided and between edges, none is
+                // block-ready: that needs an undivided core.)
+                if runnable.replace(i).is_some() && wake <= now {
+                    return Advance::Step;
+                }
             }
         }
         if !self.bus.is_quiet()
-            || self.bus.has_last_xact()
-            || self.dma.as_ref().is_some_and(|d| !d.is_idle())
-        {
-            return now;
-        }
-        let periph = self.periph();
-        let irq = periph.irq_pending();
-        if (self.dma.is_some() && periph.dma_start_latched())
+            || self
+                .dma
+                .as_ref()
+                .is_some_and(|d| !d.is_idle() || periph.dma_start_latched())
             || periph.trigger_in() != self.prev_trig_in
-            || self.cores.iter().any(|c| c.irq_line() != irq)
+            || timer <= now
         {
-            return now;
+            return Advance::Step;
         }
-        match periph.timer_wake() {
-            Some(fire) => wake.min(fire.max(now)),
-            None => wake,
+        if wake > now && !self.bus.has_last_xact() {
+            return Advance::Skip(wake);
         }
-    }
-
-    /// If the batched block layer may run right now, the index of the
-    /// single core it would drive; `None` demands per-cycle stepping.
-    ///
-    /// Preconditions (all checked, cheapest first): exactly one runnable
-    /// core, itself at a clean instruction boundary
-    /// ([`crate::cpu::Cpu::block_ready`]); bus idle; DMA idle with no
-    /// latched command; no pending trigger-in edge; every core's IRQ line
-    /// in sync with the interrupt controller; the timer not due.
-    fn block_core(&self) -> Option<usize> {
-        let mut runnable = None;
-        for (i, core) in self.cores.iter().enumerate() {
-            if core.is_halted() || core.is_suspended() {
-                continue;
-            }
-            if runnable.is_some() {
-                // Two live masters can contend on the bus: exact
-                // arbitration requires per-cycle stepping.
-                return None;
-            }
-            runnable = Some(i);
+        match runnable {
+            Some(i) if self.cores[i].block_ready() => Advance::Block(i),
+            _ => Advance::Step,
         }
-        let i = runnable?;
-        if !self.cores[i].block_ready() || !self.bus.is_quiet() {
-            return None;
-        }
-        let periph = self.periph();
-        if let Some(dma) = &self.dma {
-            if !dma.is_idle() || periph.dma_start_latched() {
-                return None;
-            }
-        }
-        let irq = periph.irq_pending();
-        if periph.trigger_in() != self.prev_trig_in
-            || self.cores.iter().any(|c| c.irq_line() != irq)
-            || periph.timer_wake().is_some_and(|fire| fire <= self.cycle)
-        {
-            return None;
-        }
-        Some(i)
     }
 
     /// Executes a batched basic block on `cores[core_idx]`, consuming
@@ -899,6 +882,58 @@ mod tests {
                 assert_eq!(soc.save_state(), reference.save_state(), "{mode:?}");
             }
         }
+    }
+
+    #[test]
+    fn survivor_of_an_early_halt_runs_as_blocks() {
+        // Core 0 halts at once; core 1 counts down in straight-line code.
+        let src = "
+            .org 0x80000000
+            start:
+                mfsr r1, coreid
+                beq r1, r0, done
+                li r3, 2000
+            count:
+                addi r3, r3, -1
+                bne r3, r0, count
+            done:
+                halt
+        ";
+        let build = || {
+            let mut soc = SocBuilder::new().cores(2).build();
+            soc.load_program(&assemble(src).expect("assembles"));
+            soc
+        };
+        assert_mode_identical(build, 30_000);
+
+        let mut reference = build();
+        reference.set_exec_mode(ExecMode::PerCycle);
+        let mut soc = build();
+        for s in [&mut reference, &mut soc] {
+            s.run_kernel(
+                1_000,
+                Some(HaltStop::Core(CoreId(0))),
+                &mut crate::sink::NullSink,
+            );
+        }
+        assert!(!soc.core(CoreId(1)).is_halted());
+        assert_eq!(soc.exec_stats().block_cycles, 0, "two runnable cores step");
+        let before = *soc.exec_stats();
+        for s in [&mut reference, &mut soc] {
+            s.run_kernel(
+                100_000,
+                Some(HaltStop::Core(CoreId(1))),
+                &mut crate::sink::NullSink,
+            );
+        }
+        let stats = soc.exec_stats();
+        assert!(
+            stats.block_cycles > 10 * (stats.stepped_cycles - before.stepped_cycles),
+            "the lone survivor batches: {stats:?}"
+        );
+        assert!(soc.core(CoreId(1)).is_halted());
+        assert_eq!(soc.cycle(), reference.cycle(), "stops on the exact cycle");
+        assert_eq!(soc.save_state(), reference.save_state());
     }
 
     /// Satellite regression: a debug-master write into the emulation-RAM

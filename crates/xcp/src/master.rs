@@ -742,8 +742,10 @@ impl XcpMaster {
 mod tests {
     use super::*;
     use mcds_psi::device::{DeviceBuilder, DeviceVariant};
+    use mcds_replay::device_state_hash;
     use mcds_soc::asm::assemble;
     use mcds_soc::soc::memmap;
+    use mcds_soc::ExecMode;
 
     fn running_device() -> Device {
         let mut dev = DeviceBuilder::new(DeviceVariant::EdSideBooster)
@@ -835,6 +837,53 @@ mod tests {
         assert!(values.windows(2).all(|w| w[0] <= w[1]));
         // Timestamps come from the slave's DAQ clock, strictly increasing.
         assert!(dtos.windows(2).all(|w| w[0].timestamp < w[1].timestamp));
+    }
+
+    #[test]
+    fn measurement_is_exec_mode_identical_and_batches_between_samples() {
+        let measuring = |mode| {
+            let mut dev = running_device();
+            dev.set_exec_mode(mode);
+            let mut m = XcpMaster::new(InterfaceKind::Usb11);
+            m.connect(&mut dev).unwrap();
+            m.slave_mut().set_event_period(0, 5_000);
+            m.start_measurement(&mut dev, &[(memmap::SRAM_BASE, 4)], 0, 1)
+                .unwrap();
+            dev.reset_exec_stats();
+            (dev, m)
+        };
+        // Reference: step one cycle, then tick the rasters, every cycle.
+        let (mut dev, mut m) = measuring(ExecMode::PerCycle);
+        let end = dev.soc().cycle() + 100_000;
+        while dev.soc().cycle() < end {
+            dev.run_cycles(1);
+            m.slave_mut().sample_tick(&mut dev);
+        }
+        let reference = m.slave_mut().drain_dtos(usize::MAX);
+        assert!(reference.len() >= 10, "{} samples", reference.len());
+
+        let mut runs = Vec::new();
+        for mode in [ExecMode::PerCycle, ExecMode::BlockBatched] {
+            let (mut dev, mut m) = measuring(mode);
+            let dtos = m.measure(&mut dev, 100_000);
+            assert_eq!(
+                dtos, reference,
+                "{mode:?}: samples land where stepping puts them"
+            );
+            let stats = *dev.exec_stats();
+            if mode == ExecMode::BlockBatched {
+                // Only the sample accesses step; the 100 000-cycle window
+                // between them batches (the transfer wait after it always
+                // did).
+                assert!(
+                    stats.block_cycles + stats.skipped_cycles > 0
+                        && stats.stepped_cycles < 100_000 / 10,
+                    "the stretches between samples batch: {stats:?}"
+                );
+            }
+            runs.push((dev.soc().cycle(), device_state_hash(&dev)));
+        }
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

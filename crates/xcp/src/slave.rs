@@ -356,7 +356,7 @@ impl XcpSlave {
     /// Samples every event channel whose raster is due at the device's
     /// current cycle, without advancing time. External schedulers that own
     /// the stepping loop (the virtual-vehicle lockstep scheduler) call
-    /// this once per step; [`XcpSlave::run`] is this plus the stepping.
+    /// this once per step; [`XcpSlave::run`] calls it after each run leg.
     pub fn sample_tick(&mut self, dev: &mut Device) {
         if !self.daq.any_running() {
             return;
@@ -373,10 +373,19 @@ impl XcpSlave {
     /// Runs the device for (at least) `cycles` cycles, sampling running DAQ
     /// lists at their event rasters. The application cores are never
     /// stopped; samples are taken through the debug bus master.
+    /// Each [`Device::run_cycles`] leg ends on the earliest channel
+    /// deadline (at least one cycle, never past the end) and is followed by
+    /// [`XcpSlave::sample_tick`], so samples land where stepping would.
     pub fn run(&mut self, dev: &mut Device, cycles: u64) {
         let end = dev.soc().cycle() + cycles;
         while dev.soc().cycle() < end {
-            dev.step();
+            let now = dev.soc().cycle();
+            let due = if self.daq.any_running() {
+                self.next_event_at.iter().copied().min().unwrap_or(end)
+            } else {
+                end
+            };
+            dev.run_cycles(due.clamp(now + 1, end) - now);
             self.sample_tick(dev);
         }
     }

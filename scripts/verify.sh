@@ -126,5 +126,11 @@ done
 # workspace build above never compiles it. Build it against the current
 # crates and run one short workload (its correctness gate exits non-zero).
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- \
   --workload farm-debug --seed 1 --seconds 1 --trace 0 >/dev/null
+# Cross-layer hash gate: the traced run walks one workload through
+# Soc -> Device -> Session -> Scheduler -> TCP and exits non-zero unless
+# every layer ends on the same state hash.
+cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- \
+  --workload farm-run --seed 1 --seconds 2 --trace 1 >/dev/null
