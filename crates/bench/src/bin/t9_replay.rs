@@ -181,6 +181,11 @@ fn main() {
         snap.size_bytes(),
         json.len()
     );
+    assert!(
+        json.len() <= 2 * snap.size_bytes() + 64 * 1024,
+        "component bytes are hex, two characters per byte: the JSON must stay \
+         within 2x the accounted size"
+    );
     let parsed: SocSnapshot = serde_json::from_str(&json).expect("snapshot parses");
     assert_eq!(
         parsed.state_hash(),

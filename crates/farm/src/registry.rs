@@ -734,12 +734,19 @@ mod tests {
         let mut s = farm.checkout(id).unwrap();
         let ran = s.run(40_000).ran;
         let hash_before = s.state_hash();
+        let size_bytes = s.snapshot().soc.size_bytes();
         farm.checkin(id, s, ran);
 
         let (bytes, state_hash) = farm.evict(id).unwrap();
         let path = farm.config.evict_dir.join(format!("session_{id}.json"));
         let on_disk = std::fs::metadata(&path).expect("snapshot file").len();
         assert_eq!(bytes as u64, on_disk, "evict reports the bytes it wrote");
+        // Hex costs two characters per image byte; the JSON around it stays
+        // small.
+        assert!(
+            bytes <= 2 * size_bytes + 64 * 1024,
+            "evicted file {bytes} B for {size_bytes} accounted bytes"
+        );
         assert_eq!(farm.stats().evicted_bytes as u64, on_disk);
         assert_eq!(state_hash, hash_before);
         assert_eq!(farm.stats().sessions_evicted, 1);
@@ -787,6 +794,79 @@ mod tests {
         farm.checkin(id, s, ran);
         farm.destroy(id).unwrap();
         std::fs::remove_file(&blocker).unwrap();
+    }
+
+    #[test]
+    fn damaged_eviction_files_are_typed_errors() {
+        use mcds_replay::fnv1a64;
+        let farm = Farm::new(
+            FarmConfig {
+                evict_dir: std::env::temp_dir()
+                    .join(format!("mcds-farm-test-{}-damaged", std::process::id())),
+                ..Default::default()
+            },
+            Telemetry::new(),
+        );
+        let victim = farm.create(Workload::Engine, false).unwrap();
+        let bystander = farm.create(Workload::Engine, false).unwrap();
+        let mut s = farm.checkout(bystander).unwrap();
+        let ran = s.run(20_000).ran;
+        let bystander_hash = s.state_hash();
+        farm.checkin(bystander, s, ran);
+
+        let s = farm.checkout(victim).unwrap();
+        let sram = s.snapshot().soc.component("soc/sram").unwrap().clone();
+        farm.checkin(victim, s, 0);
+        farm.evict(victim).unwrap();
+        let path = farm.config.evict_dir.join(format!("session_{victim}.json"));
+        let good = std::fs::read_to_string(&path).unwrap();
+        let marker = "\"name\":\"soc/sram\"";
+        let sram_at = good.find(marker).unwrap();
+        let key = "\"bytes\":\"";
+        let hex_at = sram_at + good[sram_at..].find(key).unwrap() + key.len();
+        let with_digit = |digit: u8| {
+            let mut damaged = good.clone().into_bytes();
+            damaged[hex_at + 10] = digit;
+            String::from_utf8(damaged).unwrap()
+        };
+        let swapped = if good.as_bytes()[hex_at + 10] == b'7' {
+            b'8'
+        } else {
+            b'7'
+        };
+        // A one-byte-short SRAM image under a recomputed hash passes the
+        // integrity check and must be caught before it reaches the device.
+        let short = format!("{}{}", &good[..hex_at], &good[hex_at + 2..]).replacen(
+            &format!("{marker},\"hash\":{},", sram.hash()),
+            &format!("{marker},\"hash\":{},", fnv1a64(&sram.bytes()[1..])),
+            1,
+        );
+        let damages = [
+            ("swapped digit", with_digit(swapped), "snapshot corrupt"),
+            ("non-hex digit", with_digit(b'x'), "snapshot parse failed"),
+            (
+                "truncated file",
+                good[..good.len() / 2].to_string(),
+                "snapshot parse failed",
+            ),
+            ("short image", short, "snapshot resume failed"),
+        ];
+        for (what, damaged, reason) in damages {
+            std::fs::write(&path, damaged).unwrap();
+            let err = farm.checkout(victim).unwrap_err();
+            assert_eq!(err.code, ERR_SNAPSHOT, "{what}: {}", err.message);
+            assert!(err.message.starts_with(reason), "{what}: {}", err.message);
+            let infos = farm.list();
+            let info = infos.iter().find(|i| i.id == victim).unwrap();
+            assert_eq!(info.state, "evicted", "{what}: the record stays");
+        }
+
+        let s = farm.checkout(bystander).unwrap();
+        assert_eq!(s.state_hash(), bystander_hash, "the bystander is untouched");
+        farm.checkin(bystander, s, 0);
+        farm.destroy(victim).unwrap();
+        assert!(!path.exists(), "destroy removes the damaged file");
+        farm.destroy(bystander).unwrap();
     }
 
     #[test]

@@ -355,6 +355,8 @@ impl Session {
     /// [`SessionError::SnapshotVersion`] on a format-version mismatch (the
     /// device snapshot's own version is also checked, reported the same
     /// way, so `restore_into` cannot panic on version grounds).
+    /// [`SessionError::Snapshot`] when a memory image does not fit `dev`
+    /// ([`SocSnapshot::check_fits`]); nothing is restored then.
     pub fn resume(
         mut dev: Device,
         iface: InterfaceKind,
@@ -373,6 +375,7 @@ impl Session {
                 expected: mcds_replay::SNAPSHOT_VERSION,
             });
         }
+        snap.soc.check_fits(&dev).map_err(SessionError::Snapshot)?;
         // Comparators and cross-trigger lines armed during the suspended
         // session are structure, not state: rebuild them on the fresh
         // device (zero-cost backdoor — no simulated time) so the snapshot

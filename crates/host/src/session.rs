@@ -59,6 +59,8 @@ pub enum SessionError {
         /// Version this build understands.
         expected: u32,
     },
+    /// A session snapshot does not fit the device it is resumed onto.
+    Snapshot(mcds_replay::SnapshotIoError),
     /// A calibration (XCP) operation failed.
     Calibration(mcds_xcp::XcpError),
 }
@@ -78,6 +80,7 @@ impl fmt::Display for SessionError {
                 f,
                 "session snapshot version {found} incompatible with {expected}"
             ),
+            SessionError::Snapshot(e) => write!(f, "session snapshot rejected: {e}"),
             SessionError::Calibration(e) => write!(f, "calibration failed: {e}"),
         }
     }

@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot format version; bump on any incompatible change to the
 /// component set or encodings.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Name of the structured-state component.
 const DEVICE_STATE: &str = "device/state";
@@ -150,6 +150,17 @@ pub enum SnapshotIoError {
         /// Hash recomputed from the loaded contents.
         found: u64,
     },
+    /// A memory component does not fit the device it is restored onto:
+    /// its length differs from the fitted memory's, or the memory is not
+    /// fitted.
+    Misfit {
+        /// Name of the memory component.
+        component: String,
+        /// Size of the device's memory (0 when not fitted).
+        expected: usize,
+        /// Length of the component's image.
+        found: usize,
+    },
 }
 
 impl fmt::Display for SnapshotIoError {
@@ -173,6 +184,15 @@ impl fmt::Display for SnapshotIoError {
                 "snapshot component {component} corrupt: recorded hash {expected:#018x}, \
                  recomputed {found:#018x}"
             ),
+            SnapshotIoError::Misfit {
+                component,
+                expected,
+                found,
+            } => write!(
+                f,
+                "snapshot component {component} holds {found} bytes, the device's memory \
+                 {expected}"
+            ),
         }
     }
 }
@@ -182,14 +202,17 @@ impl std::error::Error for SnapshotIoError {
         match self {
             SnapshotIoError::Io { source, .. } => Some(source),
             SnapshotIoError::Json { source, .. } => Some(source),
-            SnapshotIoError::Version { .. } | SnapshotIoError::Corrupt { .. } => None,
+            SnapshotIoError::Version { .. }
+            | SnapshotIoError::Corrupt { .. }
+            | SnapshotIoError::Misfit { .. } => None,
         }
     }
 }
 
 /// One named, hashed piece of device state: its bytes and their FNV-1a
-/// hash.
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq, Eq)]
+/// hash. Serialized as `{name, hash, bytes}` with the bytes as one
+/// lowercase hex string.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     name: String,
     hash: u64,
@@ -219,6 +242,91 @@ impl Component {
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
+}
+
+impl serde::Serialize for Component {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("hash".to_string(), self.hash.to_value()),
+            (
+                "bytes".to_string(),
+                serde::Value::Str(hex_encode(&self.bytes)),
+            ),
+        ])
+    }
+}
+
+impl serde::Deserialize for Component {
+    fn from_value(v: &serde::Value) -> Result<Component, serde::Error> {
+        let serde::Value::Str(hex) = serde::map_get(v, "bytes")? else {
+            return Err(serde::Error::msg("component bytes must be a hex string"));
+        };
+        Ok(Component {
+            name: String::from_value(serde::map_get(v, "name")?)?,
+            hash: u64::from_value(serde::map_get(v, "hash")?)?,
+            bytes: hex_decode(hex)?,
+        })
+    }
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's value as a lowercase hex digit, or `0xff` if it is none.
+const NIBBLES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[HEX_DIGITS[d] as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
+/// `bytes` as lowercase hex, two digits per byte.
+fn hex_encode(bytes: &[u8]) -> String {
+    let mut hex = vec![0; 2 * bytes.len()];
+    for (digits, &b) in hex.chunks_exact_mut(2).zip(bytes) {
+        digits[0] = HEX_DIGITS[usize::from(b >> 4)];
+        digits[1] = HEX_DIGITS[usize::from(b & 0xf)];
+    }
+    String::from_utf8(hex).expect("hex digits are ASCII")
+}
+
+/// The bytes of a [`hex_encode`]d string.
+///
+/// # Errors
+///
+/// An odd length or any character outside `[0-9a-f]`.
+fn hex_decode(hex: &str) -> Result<Vec<u8>, serde::Error> {
+    if !hex.len().is_multiple_of(2) {
+        return Err(serde::Error::msg(format!(
+            "component bytes have odd hex length {}",
+            hex.len()
+        )));
+    }
+    // Decode first and look for the culprit only if some digit was bad:
+    // the loop stays branch-free.
+    let mut bytes = vec![0; hex.len() / 2];
+    let mut seen = 0;
+    for (b, digits) in bytes.iter_mut().zip(hex.as_bytes().chunks_exact(2)) {
+        let (hi, lo) = (
+            NIBBLES[usize::from(digits[0])],
+            NIBBLES[usize::from(digits[1])],
+        );
+        seen |= hi | lo;
+        *b = hi << 4 | lo;
+    }
+    if seen > 0xf {
+        let at = hex
+            .bytes()
+            .position(|d| NIBBLES[usize::from(d)] > 0xf)
+            .expect("a digit decoded out of range");
+        return Err(serde::Error::msg(format!(
+            "component bytes: byte {at} is not a lowercase hex digit"
+        )));
+    }
+    Ok(bytes)
 }
 
 /// A versioned snapshot of a whole [`Device`] at one cycle.
@@ -274,6 +382,33 @@ impl SocSnapshot {
         self.components.iter().find(|c| c.name == name)
     }
 
+    /// Checks that every memory component fits `dev`: it names a fitted
+    /// memory of exactly its length. A snapshot that passes cannot make
+    /// [`SocSnapshot::restore_into`] panic on a memory image.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotIoError::Misfit`] naming the first memory that does not
+    /// fit.
+    pub fn check_fits(&self, dev: &Device) -> Result<(), SnapshotIoError> {
+        for (name, id) in MEMORIES {
+            let Some(c) = self.component(name) else {
+                continue;
+            };
+            match dev.soc().memory_image(id) {
+                Some(image) if image.len() == c.bytes.len() => {}
+                image => {
+                    return Err(SnapshotIoError::Misfit {
+                        component: name.to_string(),
+                        expected: image.map_or(0, <[u8]>::len),
+                        found: c.bytes.len(),
+                    })
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Restores this snapshot onto a device built with the identical
     /// configuration: memory images first, then the structured runtime
     /// state.
@@ -283,6 +418,8 @@ impl SocSnapshot {
     /// Panics if the format version is unknown, or the device's
     /// configuration does not structurally match (wrong core count, memory
     /// sizes, fitted options).
+    /// [`SocSnapshot::check_fits`] turns the memory-size cases into a
+    /// typed error first.
     pub fn restore_into(&self, dev: &mut Device) {
         assert_eq!(
             self.version, SNAPSHOT_VERSION,
@@ -382,6 +519,7 @@ impl SocSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcds_psi::device::{DeviceBuilder, DeviceVariant};
 
     fn synthetic_snapshot() -> SocSnapshot {
         SocSnapshot {
@@ -441,6 +579,98 @@ mod tests {
             other => panic!("expected Version error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_byte_value_round_trips_as_lowercase_hex() {
+        let c = Component::new(MEMORIES[1].0, (0..=255u8).collect());
+        let json = serde_json::to_string(&c).unwrap();
+        let hex: String = (0..=255u8).map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            json,
+            format!(
+                "{{\"name\":\"soc/sram\",\"hash\":{},\"bytes\":\"{hex}\"}}",
+                c.hash()
+            )
+        );
+        assert_eq!(serde_json::from_str::<Component>(&json).unwrap(), c);
+    }
+
+    #[test]
+    fn malformed_hex_is_a_parse_error() {
+        for (hex, why) in [
+            ("abc", "odd hex length 3"),
+            ("0A", "byte 1 is not a lowercase hex digit"),
+            ("0g", "byte 1 is not a lowercase hex digit"),
+            ("é", "byte 0 is not a lowercase hex digit"),
+        ] {
+            let json = format!("{{\"name\":\"soc/sram\",\"hash\":0,\"bytes\":\"{hex}\"}}");
+            let err = serde_json::from_str::<Component>(&json).unwrap_err();
+            assert!(err.to_string().contains(why), "{hex}: {err}");
+        }
+    }
+
+    #[test]
+    fn version_2_decimal_array_file_is_a_typed_error() {
+        let path = temp_path("v2.json");
+        let json = format!(
+            "{{\"version\":2,\"cycle\":7,\"components\":[{{\"name\":\"soc/sram\",\
+             \"hash\":{},\"bytes\":[1,2,3]}}]}}",
+            fnv1a64(&[1, 2, 3])
+        );
+        std::fs::write(&path, json).unwrap();
+        match SocSnapshot::load(&path) {
+            Err(SnapshotIoError::Json { source, .. }) => {
+                assert!(source.to_string().contains("hex string"), "{source}")
+            }
+            other => panic!("expected Json error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn check_fits_rejects_memories_the_device_does_not_have() {
+        let booster = DeviceBuilder::new(DeviceVariant::EdSideBooster)
+            .cores(1)
+            .build();
+        let mut snap = SocSnapshot::capture(&booster);
+        snap.check_fits(&booster)
+            .expect("a capture fits its own device");
+
+        // Emulation RAM is not fitted on the production part.
+        let production = DeviceBuilder::new(DeviceVariant::Production)
+            .cores(1)
+            .build();
+        match snap.check_fits(&production) {
+            Err(SnapshotIoError::Misfit {
+                component,
+                expected: 0,
+                ..
+            }) => assert_eq!(component, "soc/emem"),
+            other => panic!("expected Misfit error, got {other:?}"),
+        }
+
+        // A short SRAM image whose recorded hash was recomputed passes the
+        // integrity check; only check_fits stands between it and a panic.
+        let sram = snap
+            .components
+            .iter_mut()
+            .find(|c| c.name == "soc/sram")
+            .unwrap();
+        sram.bytes.pop();
+        sram.hash = fnv1a64(&sram.bytes);
+        snap.verify_integrity().expect("hash is consistent");
+        match snap.check_fits(&booster) {
+            Err(SnapshotIoError::Misfit {
+                component,
+                expected,
+                found,
+            }) => {
+                assert_eq!(component, "soc/sram");
+                assert_eq!(found + 1, expected);
+            }
+            other => panic!("expected Misfit error, got {other:?}"),
+        }
     }
 
     #[test]

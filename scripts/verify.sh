@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q --workspace
+# The vendored stubs sit outside the workspace; the JSON one carries the
+# snapshot codec's string fast paths.
+cargo test -q -p serde_json
 cargo clippy --workspace -- -D warnings
 
 # Examples: each asserts its scenario (dual_ecu: the cross-ECU trigger
@@ -129,6 +132,10 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- \
   --workload farm-debug --seed 1 --seconds 1 --trace 0 >/dev/null
+# Eviction gate: every churned session's revived hash must equal its
+# evicted hash and the in-process reference.
+cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- \
+  --workload farm-churn --seed 1 --seconds 2 --trace 0 >/dev/null
 # Cross-layer hash gate: the traced run walks one workload through
 # Soc -> Device -> Session -> Scheduler -> TCP and exits non-zero unless
 # every layer ends on the same state hash.
