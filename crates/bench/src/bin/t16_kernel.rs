@@ -16,10 +16,14 @@
 //! * **T16c** — observation safety: the same workload traced; both modes
 //!   must produce identical encoded trace bytes, decoded messages and
 //!   state hashes (the idle gate keeps observed runs exact);
-//! * **T16d** — the consumer's view: the four catalog workloads as
-//!   untraced farm-recipe sessions through `Session::run` at the farm
-//!   quantum, per mode, with ExecStats (printed, speed not asserted;
-//!   state hashes asserted identical);
+//! * **T16d** — the consumer's view: the catalog workloads as untraced
+//!   farm-recipe sessions through `Session::run` at the farm quantum, per
+//!   mode, with ExecStats. State hashes are asserted identical on every
+//!   row (the two swap-lock race workloads run until their first halt as
+//!   hash-identity rows), and every batched row must step <= 1% of its
+//!   cycles (a deterministic count). The four free-running rows must be
+//!   no slower batched than per-cycle; the two-core ones, which the kernel
+//!   merges by bus grants, must reach >= 1.5x per-cycle;
 //! * the idle-skip / block-hit-rate table and the kernel counters
 //!   published as `t16_kernel_telemetry.{json,prom}`.
 //!
@@ -124,9 +128,16 @@ fn timed(src: &str, mode: ExecMode, cycles: u64) -> (f64, u64, u64, ExecStats) {
 const MODES: [ExecMode; 2] = [ExecMode::PerCycle, ExecMode::BlockBatched];
 
 /// One untraced farm-recipe session of `w` run for `cycles` in farm
-/// quanta under `mode`. Returns wall seconds, the final state hash and the
-/// kernel counters accumulated by the runs.
-fn session_run(w: Workload, mode: ExecMode, cycles: u64, quantum: u64) -> (f64, u64, ExecStats) {
+/// quanta under `mode`, or until its first halt if `halts`. Returns the
+/// cycles run, wall seconds, the final state hash and the kernel counters
+/// accumulated by the runs.
+fn session_run(
+    w: Workload,
+    mode: ExecMode,
+    cycles: u64,
+    quantum: u64,
+    halts: bool,
+) -> (u64, f64, u64, ExecStats) {
     let mut dev = device_spec(w, false).build();
     dev.soc_mut().load_program(&w.program());
     let mut s = Session::attach(dev, FarmConfig::default().iface, &w.program(), None)
@@ -137,8 +148,11 @@ fn session_run(w: Workload, mode: ExecMode, cycles: u64, quantum: u64) -> (f64, 
     let mut left = cycles;
     while left > 0 {
         let report = s.run(left.min(quantum));
-        assert!(report.stop.is_none(), "catalog workloads run free");
         left -= report.ran;
+        if report.stop.is_some() {
+            assert!(halts, "{} runs free", w.name());
+            break;
+        }
     }
     let wall = start.elapsed().as_secs_f64();
     let after = *s.exec_stats();
@@ -148,7 +162,7 @@ fn session_run(w: Workload, mode: ExecMode, cycles: u64, quantum: u64) -> (f64, 
         block_cycles: after.block_cycles - before.block_cycles,
         ..ExecStats::default()
     };
-    (wall, s.state_hash(), stats)
+    (cycles - left, wall, s.state_hash(), stats)
 }
 
 fn mode_name(mode: ExecMode) -> &'static str {
@@ -304,39 +318,65 @@ fn main() {
     let session_cycles: u64 = args.scale(2_000_000, 400_000);
     let quantum = FarmConfig::default().quantum;
     let mut rows = Vec::new();
-    for w in [
-        Workload::Engine,
-        Workload::Gearbox,
-        Workload::EngineGearbox,
-        Workload::EngineGearboxVehicle,
+    let mut two_core_speedup = f64::MAX;
+    for (w, halts) in [
+        (Workload::Engine, false),
+        (Workload::Gearbox, false),
+        (Workload::EngineGearbox, false),
+        (Workload::EngineGearboxVehicle, false),
+        (Workload::RaceLocked, true),
+        (Workload::RaceBuggy, true),
     ] {
         let mut want = None;
         let mut per_cycle_wall = 0.0;
         for mode in MODES {
             let mut best = f64::MAX;
             let mut stats = ExecStats::default();
+            let mut ran = 0;
             for _ in 0..repeats {
-                let (wall, hash, s) = session_run(w, mode, session_cycles, quantum);
+                let (cycles, wall, hash, s) = session_run(w, mode, session_cycles, quantum, halts);
                 assert_eq!(
-                    *want.get_or_insert(hash),
-                    hash,
+                    *want.get_or_insert((cycles, hash)),
+                    (cycles, hash),
                     "{}: {} session diverged from per-cycle",
                     w.name(),
                     mode_name(mode)
                 );
+                ran = cycles;
                 if wall < best {
                     best = wall;
                     stats = s;
                 }
             }
-            if mode == ExecMode::PerCycle {
+            let speedup = if mode == ExecMode::PerCycle {
                 per_cycle_wall = best;
+                1.0
+            } else {
+                per_cycle_wall / best
+            };
+            if mode == ExecMode::BlockBatched {
+                assert!(
+                    stats.stepped_cycles * 100 <= ran,
+                    "{}: batched sessions step <= 1% of their cycles: {stats:?}",
+                    w.name()
+                );
+            }
+            if mode == ExecMode::BlockBatched && !halts {
+                assert!(
+                    speedup >= 1.0,
+                    "{}: block-batched slower than per-cycle ({speedup:.2}x)",
+                    w.name()
+                );
+                if w.cores() == 2 {
+                    two_core_speedup = two_core_speedup.min(speedup);
+                }
             }
             rows.push(vec![
                 w.name().into(),
                 mode_name(mode).into(),
-                format!("{:.2}", session_cycles as f64 / best / 1e6),
-                format!("{:.2}x", per_cycle_wall / best),
+                format!("{ran}"),
+                format!("{:.2}", ran as f64 / best / 1e6),
+                format!("{speedup:.2}x"),
                 format!("{}", stats.stepped_cycles),
                 format!("{}", stats.skipped_cycles),
                 format!("{}", stats.block_cycles),
@@ -345,12 +385,13 @@ fn main() {
     }
     print_table(
         &format!(
-            "T16d: untraced catalog sessions, {session_cycles} cycles through Session::run \
-             at the {quantum}-cycle farm quantum (best of {repeats})"
+            "T16d: untraced catalog sessions, up to {session_cycles} cycles through \
+             Session::run at the {quantum}-cycle farm quantum (best of {repeats})"
         ),
         &[
             "workload",
             "mode",
+            "cycles",
             "Mcycles/s",
             "vs per-cycle",
             "stepped",
@@ -359,7 +400,14 @@ fn main() {
         ],
         &rows,
     );
-    println!();
+    println!(
+        "two-core sessions merge by bus grants: {two_core_speedup:.2}x per-cycle at worst; \
+         hashes identical\n"
+    );
+    assert!(
+        two_core_speedup >= 1.5,
+        "two-core sessions must reach >= 1.5x per-cycle (got {two_core_speedup:.2}x)"
+    );
 
     // --- Telemetry artifacts. -------------------------------------------
     let tel = Telemetry::new();
@@ -378,6 +426,11 @@ fn main() {
         .set(line_speedup);
     r.gauge("t16_quiet_speedup", "quiescent-skip speedup vs per-cycle")
         .set(quiet_speedup);
+    r.gauge(
+        "t16_two_core_speedup",
+        "merged two-core session speedup vs per-cycle (worst catalog row)",
+    )
+    .set(two_core_speedup);
     let decodes = block_stats.decode_hits + block_stats.decode_misses;
     r.gauge(
         "t16_decode_hit_rate",

@@ -490,35 +490,42 @@ impl<T: BusTarget> Bus<T> {
         self.counters = state.counters.clone();
     }
 
+    /// The master slot arbitration grants among those `ready` reports
+    /// queued: fixed priority (lowest slot), or round-robin from `rr_next`
+    /// over all master slots. The one arbitration order, shared by
+    /// [`Bus::step`] and the execution kernel's merged executor.
+    pub(crate) fn arbitrate(&self, ready: impl Fn(usize) -> bool) -> Option<usize> {
+        let n = self.pending.len();
+        // Walk the masters in arbitration order without materialising it.
+        (0..n)
+            .map(|k| {
+                if self.round_robin {
+                    (self.rr_next + k) % n
+                } else {
+                    k
+                }
+            })
+            .find(|&i| ready(i))
+    }
+
     fn grant_next(&mut self) {
         if self.active.is_some() {
             return;
         }
-        let n = self.pending.len();
-        // Walk the masters in arbitration order without materialising it:
-        // round-robin starts at rr_next and wraps; fixed priority is 0..n.
-        for k in 0..n {
-            let i = if self.round_robin {
-                (self.rr_next + k) % n
-            } else {
-                k
-            };
-            if let Some(request) = self.pending[i].take() {
-                if self.round_robin {
-                    self.rr_next = (i + 1) % n;
-                }
-                let master = MasterId(i as u8);
-                self.counters.per_master[i].grants += 1;
-                let target = self.target_at(request.addr);
-                self.active = Some(ActiveTxn {
-                    master,
-                    request,
-                    target,
-                    cycles_left: self.xfer_cycles(&request),
-                });
-                return;
-            }
+        let Some(i) = self.arbitrate(|i| self.pending[i].is_some()) else {
+            return;
+        };
+        let request = self.pending[i].take().expect("arbitrated a queued slot");
+        if self.round_robin {
+            self.rr_next = (i + 1) % self.pending.len();
         }
+        self.counters.per_master[i].grants += 1;
+        self.active = Some(ActiveTxn {
+            master: MasterId(i as u8),
+            request,
+            target: self.target_at(request.addr),
+            cycles_left: self.xfer_cycles(&request),
+        });
     }
 
     /// Advances the bus by one cycle. Returns the completion delivered this
@@ -629,10 +636,10 @@ impl<T: BusTarget> Bus<T> {
 
     /// Opens a batched kernel transfer for `master` occupying `cycles` bus
     /// cycles: books the grant, busy/occupancy time and round-robin
-    /// rotation exactly as `cycles` uncontended [`Bus::step`]s would have
-    /// (the kernel only batches when `master` is the sole requester, so
-    /// wait/contention counters stay untouched), and clears `last_xact` as
-    /// the first of those steps would.
+    /// rotation exactly as the per-cycle arbiter's grant and `cycles`
+    /// [`Bus::step`]s would have, and clears `last_xact` as the first of
+    /// those steps would. Waiting and contention are the caller's to book
+    /// ([`Bus::add_wait`], [`Bus::add_contended`]).
     pub(crate) fn begin_fast_xfer(&mut self, master: MasterId, cycles: u32) {
         self.last_xact = None;
         let i = master.0 as usize;
@@ -642,6 +649,73 @@ impl<T: BusTarget> Bus<T> {
         }
         self.counters.busy_cycles += u64::from(cycles);
         self.counters.per_master[i].occupancy_cycles += u64::from(cycles);
+    }
+
+    /// Books `cycles` cycles `master` spent queued while another master
+    /// held the bus.
+    pub(crate) fn add_wait(&mut self, master: MasterId, cycles: u64) {
+        self.counters.per_master[master.0 as usize].wait_cycles += cycles;
+    }
+
+    /// Books `cycles` cycles in which at least one master waited.
+    pub(crate) fn add_contended(&mut self, cycles: u64) {
+        self.counters.contended_cycles += cycles;
+    }
+
+    /// The masters with a request queued or in flight.
+    pub(crate) fn requesters(&self) -> impl Iterator<Item = usize> + '_ {
+        let active = self.active.as_ref().map(|a| a.master.0 as usize);
+        self.pending
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.is_some().then_some(i))
+            .chain(active)
+    }
+
+    /// The request `master` has queued, if any.
+    pub(crate) fn queued(&self, master: MasterId) -> Option<BusRequest> {
+        self.pending[master.0 as usize]
+    }
+
+    /// The transaction in flight as `(master, request, cycles_left)`.
+    pub(crate) fn in_flight(&self) -> Option<(MasterId, BusRequest, u32)> {
+        self.active
+            .as_ref()
+            .map(|a| (a.master, a.request, a.cycles_left))
+    }
+
+    /// Takes the transaction in flight (see [`Bus::in_flight`]) off the
+    /// bus for the kernel to finish, booking its remaining `cycles_left`
+    /// busy/occupancy cycles up front as [`Bus::begin_fast_xfer`] books a
+    /// whole transfer. [`Bus::put_in_flight`] is the inverse.
+    pub(crate) fn take_in_flight(&mut self) {
+        if let Some(txn) = self.active.take() {
+            let left = u64::from(txn.cycles_left);
+            self.counters.busy_cycles += left;
+            self.counters.per_master[txn.master.0 as usize].occupancy_cycles += left;
+        }
+    }
+
+    /// Puts a granted transfer back in flight with `cycles_left` cycles to
+    /// go, un-booking those cycles' busy/occupancy time (booked ahead by
+    /// [`Bus::begin_fast_xfer`] or [`Bus::take_in_flight`]): the
+    /// per-cycle arbiter books them as it steps them.
+    pub(crate) fn put_in_flight(
+        &mut self,
+        master: MasterId,
+        request: BusRequest,
+        cycles_left: u32,
+    ) {
+        debug_assert!(self.active.is_none() && cycles_left > 0);
+        let left = u64::from(cycles_left);
+        self.counters.busy_cycles -= left;
+        self.counters.per_master[master.0 as usize].occupancy_cycles -= left;
+        self.active = Some(ActiveTxn {
+            master,
+            request,
+            target: self.target_at(request.addr),
+            cycles_left,
+        });
     }
 
     /// Completes a batched kernel transfer opened by

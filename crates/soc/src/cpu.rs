@@ -28,12 +28,26 @@ pub enum RunState {
     Halted(StopCause),
 }
 
+/// Pipeline phase of a core between two of its clock ticks.
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+pub(crate) enum Phase {
+    /// The next tick issues the fetch at `pc`.
     FetchIssue,
+    /// The fetch is queued or in flight on the bus.
     FetchWait,
+    /// Executing `instr`; the tick that sees `cycles_left == 1` issues its
+    /// data access or retires it.
     Exec { instr: Instr, cycles_left: u32 },
+    /// The data access of `instr` is queued or in flight on the bus.
     MemWait { instr: Instr },
+}
+
+/// Execute cycles `instr` spends beyond the first (multi-cycle ALU ops).
+pub(crate) fn extra_cycles(instr: Instr) -> u32 {
+    match instr {
+        Instr::Alu { op, .. } | Instr::AluImm { op, .. } => op.extra_cycles(),
+        _ => 0,
+    }
 }
 
 /// Default interrupt vector (an otherwise unremarkable flash address).
@@ -283,20 +297,69 @@ impl Cpu {
         self.config.clock_div <= 1 || cycle.is_multiple_of(self.config.clock_div as u64)
     }
 
-    /// True if the core's next tick would issue a fetch for a fresh
-    /// instruction with no debug/irq/step side-entry pending — the batched
-    /// block executor's per-core entry precondition. Undivided clocks only:
-    /// the block layer fuses whole instructions at one cycle per core
-    /// clock, which is only exact when core and SoC clocks coincide.
-    pub(crate) fn block_ready(&self) -> bool {
+    /// True if the core runs on the undivided SoC clock with no
+    /// debug/step side-entry pending and no buffered completion — the
+    /// per-core precondition of both batched executors, which fuse whole
+    /// instructions at one core tick per SoC cycle. The core may be in any
+    /// phase.
+    pub(crate) fn lane_ready(&self) -> bool {
         matches!(self.state, RunState::Running)
             && !self.suspended
-            && matches!(self.phase, Phase::FetchIssue)
             && self.completion.is_none()
             && !self.break_pending
             && self.step_budget.is_none()
-            && !(self.irq_enable && self.irq_line)
             && self.config.clock_div <= 1
+    }
+
+    /// True if the core's next tick would issue a fetch for a fresh
+    /// instruction without taking an interrupt — the single-lane block
+    /// executor's entry precondition.
+    pub(crate) fn block_ready(&self) -> bool {
+        self.lane_ready() && matches!(self.phase, Phase::FetchIssue) && !self.irq_taken_next()
+    }
+
+    /// The current pipeline phase.
+    pub(crate) fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// Sets the pipeline phase (the merged executor's write-back at a
+    /// block end).
+    pub(crate) fn set_phase(&mut self, phase: Phase) {
+        self.phase = phase;
+    }
+
+    /// The data access `instr` issues from the current registers, if it
+    /// has one.
+    pub(crate) fn data_request(&self, instr: Instr) -> Option<BusRequest> {
+        match instr {
+            Instr::Load {
+                width, rs1, imm, ..
+            } => Some(BusRequest {
+                addr: self.reg(rs1).wrapping_add(imm as i32 as u32),
+                width,
+                kind: XferKind::Read,
+                wdata: 0,
+            }),
+            Instr::Store {
+                width,
+                rs2,
+                rs1,
+                imm,
+            } => Some(BusRequest {
+                addr: self.reg(rs1).wrapping_add(imm as i32 as u32),
+                width,
+                kind: XferKind::Write,
+                wdata: self.reg(rs2),
+            }),
+            Instr::Swap { rs1, rs2, .. } => Some(BusRequest {
+                addr: self.reg(rs1),
+                width: MemWidth::Word,
+                kind: XferKind::Atomic,
+                wdata: self.reg(rs2),
+            }),
+            _ => None,
+        }
     }
 
     /// True if the core would vector into its IRQ handler at the next
@@ -384,13 +447,9 @@ impl Cpu {
                         self.halt(StopCause::HaltInstr, events);
                     }
                     Ok(instr) => {
-                        let extra = match instr {
-                            Instr::Alu { op, .. } | Instr::AluImm { op, .. } => op.extra_cycles(),
-                            _ => 0,
-                        };
                         self.phase = Phase::Exec {
                             instr,
-                            cycles_left: 1 + extra,
+                            cycles_left: 1 + extra_cycles(instr),
                         };
                         // Consume the execute cycle immediately so a plain
                         // ALU op costs exactly one cycle after its fetch
@@ -433,58 +492,12 @@ impl Cpu {
             };
             return;
         }
-        match instr {
-            Instr::Load {
-                width,
-                rd: _,
-                rs1,
-                imm,
-                ..
-            } => {
-                let addr = self.reg(rs1).wrapping_add(imm as i32 as u32);
-                bus.request(
-                    self.master,
-                    BusRequest {
-                        addr,
-                        width,
-                        kind: XferKind::Read,
-                        wdata: 0,
-                    },
-                );
+        match self.data_request(instr) {
+            Some(request) => {
+                bus.request(self.master, request);
                 self.phase = Phase::MemWait { instr };
             }
-            Instr::Store {
-                width,
-                rs2,
-                rs1,
-                imm,
-            } => {
-                let addr = self.reg(rs1).wrapping_add(imm as i32 as u32);
-                bus.request(
-                    self.master,
-                    BusRequest {
-                        addr,
-                        width,
-                        kind: XferKind::Write,
-                        wdata: self.reg(rs2),
-                    },
-                );
-                self.phase = Phase::MemWait { instr };
-            }
-            Instr::Swap { rs1, rs2, .. } => {
-                let addr = self.reg(rs1);
-                bus.request(
-                    self.master,
-                    BusRequest {
-                        addr,
-                        width: MemWidth::Word,
-                        kind: XferKind::Atomic,
-                        wdata: self.reg(rs2),
-                    },
-                );
-                self.phase = Phase::MemWait { instr };
-            }
-            _ => self.retire(instr, None, events),
+            None => self.retire(instr, None, events),
         }
     }
 

@@ -6,8 +6,9 @@
 //! the future, a divided core between its clock edges. This module
 //! replaces [`crate::soc::Soc::run_cycles`]'s per-cycle loop with a
 //! two-tier kernel. One private probe picks the tier for each cycle — skip
-//! to cycle N, run core i as a batched block, or step — from one walk over
-//! the cores and one read of each shared precondition:
+//! to cycle N, run core i as a batched block, merge every runnable core,
+//! or step — from one walk over the cores and one read of each shared
+//! precondition:
 //!
 //! 1. **Event skip.** Every component exposes a `next_tick`-style wakeup
 //!    — cores on clock dividers ([`crate::cpu::Cpu`]), the bus arbiter,
@@ -24,17 +25,21 @@
 //!    pc + a code-generation counter), the per-phase cycle accounting is
 //!    fused into one closed form, and bus/periph accesses are performed
 //!    for real at the exact cycle the per-cycle machine would have
-//!    performed them.
+//!    performed them. When two or more undivided cores are running, one
+//!    merged block advances them all by bus grants: each core's next bus
+//!    request is granted exactly as the arbiter would, and each core
+//!    follows the same closed form between its requests.
 //!
 //! Both tiers are exact: the architectural state ([`crate::soc::SocState`]
-//! — registers, pipeline phase, bus arbiter including `last_xact` and the
-//! round-robin pointer, counters, peripheral state) after a kernel run is
-//! bit-identical to the same run stepped per-cycle. Anything the closed
-//! forms cannot reproduce — observation sinks that want every cycle,
-//! multiple active cores (bus contention), pending interrupts, debug
-//! requests, DMA activity, peripheral-register data accesses, timer
-//! boundaries — falls back to the per-cycle reference step, which remains
-//! the single source of truth.
+//! — registers, pipeline phase, bus arbiter including `last_xact`, the
+//! round-robin pointer and the wait/contention counters, peripheral
+//! state) after a kernel run is bit-identical to the same run stepped
+//! per-cycle. Anything the closed forms cannot reproduce — observation
+//! sinks that want every cycle, clock-divided cores running beside
+//! others, interrupt entry, debug requests, DMA activity, non-passive
+//! peripheral-register accesses (anything but word reads and `OUT[i]`
+//! writes), timer boundaries — falls back to the per-cycle reference
+//! step, which remains the single source of truth.
 //!
 //! The decode cache is **derived state**: it is never serialized, never
 //! hashed, and rebuilt on demand, so snapshots and record/replay
@@ -47,8 +52,9 @@
 //! any mapper-owned window (self-modifying code, DMA into emulation RAM,
 //! debug-master patches).
 
-use crate::bus::{Addr, AddrRange, BusRequest, MasterId, XferKind};
-use crate::event::{CoreId, MemAccessInfo, StopCause};
+use crate::bus::{Addr, AddrRange, Bus, BusCompletion, BusRequest, MasterId, XferKind};
+use crate::cpu::{extra_cycles, Cpu, Phase};
+use crate::event::{CoreId, MemAccessInfo, SocEvent, StopCause};
 use crate::isa::{Instr, MemWidth};
 use crate::sink::CycleSink;
 use crate::soc::{Soc, SocTarget};
@@ -64,8 +70,8 @@ pub enum ExecMode {
     /// The exact per-cycle reference loop, one `step` per cycle.
     PerCycle,
     /// Quiescent-stretch skipping plus batched basic-block execution of
-    /// straight-line code when the single-active-core preconditions hold
-    /// (the default).
+    /// straight-line code, for one running core or several merged by bus
+    /// grants (the default).
     #[default]
     BlockBatched,
 }
@@ -101,6 +107,9 @@ enum Advance {
     Skip(u64),
     /// Run this core's straight-line code as a batched block.
     Block(usize),
+    /// Run every runnable core as one merged block, advancing by bus
+    /// grants.
+    Merge,
     /// Take the exact per-cycle reference step.
     Step,
 }
@@ -118,11 +127,13 @@ pub struct ExecStats {
     pub stepped_cycles: u64,
     /// Cycles elided by the event skip (quiescent: provably no-op).
     pub skipped_cycles: u64,
-    /// Cycles consumed by batched basic-block instructions.
+    /// Cycles advanced by batched blocks, single-core and merged.
     pub block_cycles: u64,
-    /// Instructions executed by the block layer.
+    /// Instructions executed (retired, or stopped at) by the block layer,
+    /// single-core and merged.
     pub block_instrs: u64,
-    /// Batched blocks entered (each executed at least one instruction).
+    /// Batched blocks entered, single-core and merged (each advanced
+    /// time).
     pub blocks: u64,
     /// Block-layer decode-cache hits.
     pub decode_hits: u64,
@@ -158,10 +169,120 @@ impl DecodeSlot {
         fetch_cycles: 0,
         instr: None,
     };
+
+    /// Why the core stops at this word's decode (undecodable, `BRK`,
+    /// `HALT`), if it does.
+    fn stop_cause(&self) -> Option<StopCause> {
+        match self.instr {
+            None => Some(StopCause::InvalidInstr { word: self.word }),
+            Some(Instr::Brk) => Some(StopCause::Breakpoint),
+            Some(Instr::Halt) => Some(StopCause::HaltInstr),
+            Some(_) => None,
+        }
+    }
 }
 
-/// Direct-mapped decode-cache size in slots (word-indexed by pc).
-const DECODE_SLOTS: usize = 4096;
+/// The word fetch at `pc`.
+fn fetch_request(pc: u32) -> BusRequest {
+    BusRequest {
+        addr: pc,
+        width: MemWidth::Word,
+        kind: XferKind::Fetch,
+        wdata: 0,
+    }
+}
+
+/// What a merged lane's bus access is for.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    /// The fetch at the core's pc, with its decode slot once looked up.
+    Fetch(Option<DecodeSlot>),
+    /// The data access of this instruction.
+    Data(Instr),
+}
+
+/// One core of a merged block (see `Soc::run_merged`).
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    /// `req` is queued for a grant from cycle `since` on. A fetch with
+    /// `since` one past the block end is not issued yet at the end.
+    Queued {
+        since: u64,
+        req: BusRequest,
+        access: Access,
+    },
+    /// `req` was granted and completes at cycle `done`.
+    Granted {
+        done: u64,
+        req: BusRequest,
+        access: Access,
+    },
+    /// Executing `instr` (no data access); it retires at cycle `until`.
+    Exec { until: u64, instr: Instr },
+    /// Halted or suspended: not advanced.
+    Off,
+}
+
+/// The merged executor's state over one block.
+struct Merge {
+    /// One lane per core, indexed like the cores (and their master slots).
+    lanes: Vec<Lane>,
+    /// The block end: no event at or after this cycle is taken.
+    end: u64,
+    /// Grant cycle of the latest transfer (or the block start).
+    busy_from: u64,
+    /// First cycle the bus is free after the latest transfer.
+    bus_free: u64,
+    /// Cycle of the latest completion.
+    last_done: Option<u64>,
+    /// Instructions retired or stopped at.
+    instrs: u64,
+    /// The cores' retire/halt events, discarded as produced (merged
+    /// blocks only run under a non-observing sink).
+    events: Vec<SocEvent>,
+}
+
+impl Merge {
+    /// Books the contended cycles of the latest transfer before `until`:
+    /// those at or after the earliest `since` of a lane still queued
+    /// (every queued lane waited from its `since` to its grant).
+    fn book_contention(&self, bus: &mut Bus<SocTarget>, until: u64) {
+        let first_wait = self
+            .lanes
+            .iter()
+            .filter_map(|lane| match lane {
+                Lane::Queued { since, .. } => Some(*since),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(u64::MAX);
+        bus.add_contended(
+            until
+                .min(self.bus_free)
+                .saturating_sub(first_wait.max(self.busy_from)),
+        );
+    }
+
+    /// Lane `i` stopped at cycle `t`: the block ends after that cycle.
+    fn stop(&mut self, i: usize, t: u64) {
+        self.events.clear();
+        self.lanes[i] = Lane::Off;
+        self.end = self.end.min(t + 1);
+        self.instrs += 1;
+    }
+}
+
+/// Direct-mapped decode-cache size in slots, as a power of two.
+const DECODE_BITS: u32 = 12;
+const DECODE_SLOTS: usize = 1 << DECODE_BITS;
+
+/// The decode-cache slot of `pc`: a Fibonacci hash of the word address.
+/// Consecutive words still land in distinct slots, but code images 64 KiB
+/// apart (one per core in the two-core catalog workloads) no longer map
+/// onto the same slots, as they did under the word address's low bits.
+fn decode_index(pc: u32) -> usize {
+    ((pc >> 2).wrapping_mul(0x9E37_79B9) >> (32 - DECODE_BITS)) as usize
+}
 
 /// The kernel's derived runtime state, owned by [`crate::soc::Soc`]:
 /// execution mode, statistics, the decode cache and its generation
@@ -182,6 +303,8 @@ pub(crate) struct ExecState {
     code_windows: Vec<AddrRange>,
     /// Lazily allocated direct-mapped decode cache.
     cache: Option<Box<[DecodeSlot]>>,
+    /// Reused lane buffer of the merged executor (empty between blocks).
+    lanes: Vec<Lane>,
 }
 
 impl ExecState {
@@ -193,6 +316,7 @@ impl ExecState {
             flash_window,
             code_windows,
             cache: None,
+            lanes: Vec::new(),
         }
     }
 
@@ -263,6 +387,7 @@ impl Soc {
                     continue;
                 }
                 Advance::Block(core) if self.run_block(core, target) => {}
+                Advance::Merge if self.run_merged(target) => {}
                 // Something is live this cycle (or the block layer could
                 // not make progress): step it exactly.
                 _ => self.step_into(sink),
@@ -274,14 +399,17 @@ impl Soc {
         self.cycle - start
     }
 
-    /// The kernel's one decision point. Step while anything is live: a
-    /// queued or active bus request, DMA active or latched, an unsurfaced
-    /// trigger-in edge, a core IRQ line out of sync with the interrupt
-    /// controller (the per-cycle machine re-drives it), or the timer due.
-    /// Otherwise skip to the earliest runnable-core clock edge or timer
-    /// fire if it is in the future and no hashed `last_xact` probe awaits
-    /// clearing; failing that, batch the one runnable (not halted, not
-    /// suspended, any divider) core if it is [`crate::cpu::Cpu::block_ready`].
+    /// The kernel's one decision point. Step while anything outside the
+    /// cores is live: DMA active or latched, an unsurfaced trigger-in edge,
+    /// a core IRQ line out of sync with the interrupt controller (the
+    /// per-cycle machine re-drives it), or the timer due. Otherwise skip to
+    /// the earliest runnable-core clock edge or timer fire if the bus is
+    /// quiet, the wake is in the future and no hashed `last_xact` probe
+    /// awaits clearing. Failing that, batch the one runnable (not halted,
+    /// not suspended) core if it is [`crate::cpu::Cpu::block_ready`] on a
+    /// quiet bus, or merge two or more runnable cores if every one of them
+    /// is [`crate::cpu::Cpu::lane_ready`] and owns every queued or
+    /// in-flight bus request (debug master and DMA idle).
     fn probe(&self) -> Advance {
         let now = self.cycle;
         let periph = self.periph();
@@ -289,6 +417,8 @@ impl Soc {
         let timer = periph.timer_wake().unwrap_or(u64::MAX);
         let mut wake = timer;
         let mut runnable = None;
+        let mut lanes = 0;
+        let mut lanes_ready = true;
         for (i, core) in self.cores.iter().enumerate() {
             if core.irq_line() != irq {
                 return Advance::Step;
@@ -296,39 +426,147 @@ impl Soc {
             // `next_wake` is `None` exactly for halted or suspended cores.
             if let Some(w) = core.next_wake(now) {
                 wake = wake.min(w);
-                // Two live masters, one of them due now, can contend on
-                // the bus: exact arbitration requires per-cycle stepping.
-                // (With all of them divided and between edges, none is
-                // block-ready: that needs an undivided core.)
-                if runnable.replace(i).is_some() && wake <= now {
-                    return Advance::Step;
-                }
+                runnable.get_or_insert(i);
+                lanes += 1;
+                lanes_ready &= core.lane_ready();
             }
         }
-        if !self.bus.is_quiet()
-            || self
-                .dma
-                .as_ref()
-                .is_some_and(|d| !d.is_idle() || periph.dma_start_latched())
+        if self
+            .dma
+            .as_ref()
+            .is_some_and(|d| !d.is_idle() || periph.dma_start_latched())
             || periph.trigger_in() != self.prev_trig_in
             || timer <= now
         {
             return Advance::Step;
         }
-        if wake > now && !self.bus.has_last_xact() {
+        let quiet = self.bus.is_quiet();
+        if quiet && wake > now && !self.bus.has_last_xact() {
             return Advance::Skip(wake);
         }
         match runnable {
-            Some(i) if self.cores[i].block_ready() => Advance::Block(i),
+            Some(i) if lanes == 1 && quiet && self.cores[i].block_ready() => Advance::Block(i),
+            Some(_)
+                if lanes > 1
+                    && lanes_ready
+                    && self.bus.requesters().all(|m| {
+                        self.cores
+                            .get(m)
+                            .is_some_and(|c| c.next_wake(now).is_some())
+                    }) =>
+            {
+                Advance::Merge
+            }
             _ => Advance::Step,
+        }
+    }
+
+    /// True if `core`'s next fetch can run inside a batched block: it
+    /// reads the flash window and no interrupt is taken before it.
+    fn fetchable(&self, core: &Cpu) -> bool {
+        self.exec.flash_window.contains(core.pc()) && !core.irq_taken_next()
+    }
+
+    /// True if `req` may be performed inside a batched block: anything but
+    /// a non-passive peripheral access (see
+    /// [`crate::periph::PeriphBlock::is_passive`]).
+    fn passive(&self, req: &BusRequest) -> bool {
+        self.bus.target_at(req.addr) != Some(self.periph_id) || self.periph().is_passive(req)
+    }
+
+    /// The decode-cache slot for the fetch at `pc` (in the flash window),
+    /// filled from a side-effect-free peek on a miss. `Err` carries the
+    /// fetch's bus cycles when the peek faults (a misaligned pc or a read
+    /// fault): the caller performs that fetch for real.
+    #[inline]
+    fn decode_slot(&mut self, pc: u32, now: u64) -> Result<DecodeSlot, u32> {
+        let slot_idx = decode_index(pc);
+        if let Some(slot) = self.exec.cache.as_ref().and_then(|cache| {
+            let slot = &cache[slot_idx];
+            (slot.gen == self.exec.code_gen && slot.pc == pc).then_some(*slot)
+        }) {
+            self.exec.stats.decode_hits += 1;
+            return Ok(slot);
+        }
+        self.decode_fill(pc, slot_idx, now)
+    }
+
+    /// [`Soc::decode_slot`]'s miss path: peek, decode and fill.
+    #[cold]
+    fn decode_fill(&mut self, pc: u32, slot_idx: usize, now: u64) -> Result<DecodeSlot, u32> {
+        let gen = self.exec.code_gen;
+        self.exec.stats.decode_misses += 1;
+        let fetch_cycles = self.bus.xfer_cycles(&fetch_request(pc));
+        // Memory reads are pure, so peeking now sees what the fetch reads.
+        let word = if pc.is_multiple_of(4) {
+            match self.bus.target_mut(self.mapper_id) {
+                SocTarget::Mapper(m) => {
+                    crate::bus::BusTarget::read(m, pc, MemWidth::Word, now).ok()
+                }
+                _ => unreachable!("mapper id points at mapper"),
+            }
+        } else {
+            None
+        };
+        let word = word.ok_or(fetch_cycles)?;
+        let slot = DecodeSlot {
+            pc,
+            gen,
+            word,
+            fetch_cycles,
+            instr: Instr::decode(word).ok(),
+        };
+        self.exec
+            .cache
+            .get_or_insert_with(|| vec![DecodeSlot::EMPTY; DECODE_SLOTS].into_boxed_slice())
+            [slot_idx] = slot;
+        Ok(slot)
+    }
+
+    /// Delivers the completed data access `c` of `instr` to
+    /// `cores[core]`: kills cached decode after a write into a code window
+    /// (self-modifying code, overlay-control pokes), then retires the
+    /// instruction or halts the core on a fault. Returns `true` on a halt.
+    #[inline]
+    fn finish_data(
+        &mut self,
+        core: usize,
+        instr: Instr,
+        c: &BusCompletion,
+        events: &mut Vec<SocEvent>,
+    ) -> bool {
+        if c.fault.is_none()
+            && c.request.kind.is_write()
+            && self.exec.watches_writes_to(c.request.addr)
+        {
+            self.exec.invalidate_decode();
+        }
+        match c.fault {
+            Some(fault) => {
+                self.cores[core].halt(StopCause::BusFault(fault), events);
+                true
+            }
+            None => {
+                let access = MemAccessInfo {
+                    addr: c.request.addr,
+                    width: c.request.width,
+                    is_write: c.request.kind.is_write(),
+                    value: match c.request.kind {
+                        XferKind::Write => c.request.wdata,
+                        _ => c.rdata,
+                    },
+                };
+                self.cores[core].retire(instr, Some(access), events);
+                false
+            }
         }
     }
 
     /// Executes a batched basic block on `cores[core_idx]`, consuming
     /// whole instructions until one does not fit before `target` (or the
     /// timer horizon), changes control state (halt, interrupt enable with
-    /// a pending line), leaves the flash window, or touches the
-    /// peripheral block. Returns `true` if at least one instruction was
+    /// a pending line), leaves the flash window, or makes a non-passive
+    /// peripheral access. Returns `true` if at least one instruction was
     /// executed (i.e. time advanced).
     ///
     /// Timing closed form per instruction, derived from the phase
@@ -357,92 +595,39 @@ impl Soc {
         loop {
             let now = self.cycle;
             let core = &self.cores[core_idx];
-            if core.is_halted() || core.irq_taken_next() {
+            if core.is_halted() || !self.fetchable(core) {
                 break;
             }
             let pc = core.pc();
-            if !self.exec.flash_window.contains(pc) {
-                break;
-            }
-            let gen = self.exec.code_gen;
-            let slot_idx = ((pc >> 2) as usize) & (DECODE_SLOTS - 1);
-            let fetch_req = BusRequest {
-                addr: pc,
-                width: MemWidth::Word,
-                kind: XferKind::Fetch,
-                wdata: 0,
-            };
-            let cached = self.exec.cache.as_ref().and_then(|cache| {
-                let slot = &cache[slot_idx];
-                (slot.gen == gen && slot.pc == pc).then_some(*slot)
-            });
-            let slot = match cached {
-                Some(slot) => {
-                    self.exec.stats.decode_hits += 1;
-                    slot
-                }
-                None => {
-                    self.exec.stats.decode_misses += 1;
-                    let fetch_cycles = self.bus.xfer_cycles(&fetch_req);
-                    // Side-effect-free peek at the fetched word (memory
-                    // reads are pure); a misaligned pc or read fault
-                    // falls through to the real (uncached) access below.
-                    let word = if pc.is_multiple_of(4) {
-                        match self.bus.target_mut(self.mapper_id) {
-                            SocTarget::Mapper(m) => {
-                                crate::bus::BusTarget::read(m, pc, MemWidth::Word, now).ok()
-                            }
-                            _ => unreachable!("mapper id points at mapper"),
-                        }
-                    } else {
-                        None
-                    };
-                    let Some(word) = word else {
-                        // Faulting fetch: perform it exactly, halting the
-                        // core at the completion cycle.
-                        let period = u64::from(fetch_cycles) + 1;
-                        if now + period > horizon {
-                            break;
-                        }
-                        self.bus.begin_fast_xfer(master, fetch_cycles);
-                        let completion = self.bus.finish_fast_xfer(
-                            master,
-                            fetch_req,
-                            now + u64::from(fetch_cycles),
-                        );
-                        let fault = completion.fault.expect("peek faulted, so must the fetch");
-                        self.bus.skip_quiet_cycles(period);
-                        self.cores[core_idx].halt(StopCause::BusFault(fault), &mut events);
-                        self.cycle = now + period;
-                        executed += 1;
-                        self.exec.stats.block_instrs += 1;
-                        self.exec.stats.block_cycles += period;
-                        events.clear();
+            let slot = match self.decode_slot(pc, now) {
+                Ok(slot) => slot,
+                Err(fetch_cycles) => {
+                    // Faulting fetch: perform it exactly, halting the
+                    // core at the completion cycle.
+                    let period = u64::from(fetch_cycles) + 1;
+                    if now + period > horizon {
                         break;
-                    };
-                    let slot = DecodeSlot {
-                        pc,
-                        gen,
-                        word,
-                        fetch_cycles,
-                        instr: Instr::decode(word).ok(),
-                    };
-                    self.exec.cache.get_or_insert_with(|| {
-                        vec![DecodeSlot::EMPTY; DECODE_SLOTS].into_boxed_slice()
-                    })[slot_idx] = slot;
-                    slot
+                    }
+                    self.bus.begin_fast_xfer(master, fetch_cycles);
+                    let completion = self.bus.finish_fast_xfer(
+                        master,
+                        fetch_request(pc),
+                        now + u64::from(fetch_cycles),
+                    );
+                    let fault = completion.fault.expect("peek faulted, so must the fetch");
+                    self.bus.skip_quiet_cycles(period);
+                    self.cores[core_idx].halt(StopCause::BusFault(fault), &mut events);
+                    self.cycle = now + period;
+                    executed += 1;
+                    self.exec.stats.block_instrs += 1;
+                    self.exec.stats.block_cycles += period;
+                    events.clear();
+                    break;
                 }
             };
             let w_f = u64::from(slot.fetch_cycles);
-            // Words that stop at decode (undecodable, BRK, HALT) halt at
-            // the fetch-completion cycle.
-            let halt_cause = match slot.instr {
-                None => Some(StopCause::InvalidInstr { word: slot.word }),
-                Some(Instr::Brk) => Some(StopCause::Breakpoint),
-                Some(Instr::Halt) => Some(StopCause::HaltInstr),
-                Some(_) => None,
-            };
-            if let Some(cause) = halt_cause {
+            // Words that stop at decode halt at the fetch-completion cycle.
+            if let Some(cause) = slot.stop_cause() {
                 let period = w_f + 1;
                 if now + period > horizon {
                     break;
@@ -459,45 +644,13 @@ impl Soc {
                 break;
             }
             let instr = slot.instr.expect("halt words handled above");
-            let extra = match instr {
-                Instr::Alu { op, .. } | Instr::AluImm { op, .. } => u64::from(op.extra_cycles()),
-                _ => 0,
-            };
-            let mem_req = match instr {
-                Instr::Load {
-                    width, rs1, imm, ..
-                } => Some(BusRequest {
-                    addr: core.reg(rs1).wrapping_add(imm as i32 as u32),
-                    width,
-                    kind: XferKind::Read,
-                    wdata: 0,
-                }),
-                Instr::Store {
-                    width,
-                    rs2,
-                    rs1,
-                    imm,
-                } => Some(BusRequest {
-                    addr: core.reg(rs1).wrapping_add(imm as i32 as u32),
-                    width,
-                    kind: XferKind::Write,
-                    wdata: core.reg(rs2),
-                }),
-                Instr::Swap { rs1, rs2, .. } => Some(BusRequest {
-                    addr: core.reg(rs1),
-                    width: MemWidth::Word,
-                    kind: XferKind::Atomic,
-                    wdata: core.reg(rs2),
-                }),
-                _ => None,
-            };
-            if let Some(req) = &mem_req {
-                // Peripheral-register accesses interact with the same
-                // cycle's timer/DMA/trigger/IRQ sampling: leave the whole
-                // instruction to exact per-cycle stepping.
-                if self.bus.target_at(req.addr) == Some(self.periph_id) {
-                    break;
-                }
+            let extra = u64::from(extra_cycles(instr));
+            let mem_req = self.cores[core_idx].data_request(instr);
+            // Non-passive peripheral accesses interact with the same
+            // cycle's timer/DMA/trigger/IRQ sampling: leave the whole
+            // instruction to exact per-cycle stepping.
+            if mem_req.is_some_and(|req| !self.passive(&req)) {
+                break;
             }
             let (w_d32, w_d) = match &mem_req {
                 Some(req) => {
@@ -519,33 +672,7 @@ impl Soc {
                 Some(req) => {
                     self.bus.begin_fast_xfer(master, w_d32);
                     let completion = self.bus.finish_fast_xfer(master, req, now + period - 1);
-                    if completion.fault.is_none()
-                        && req.kind.is_write()
-                        && self.exec.watches_writes_to(req.addr)
-                    {
-                        // Self-modifying code (stores through an overlay
-                        // window, overlay-control pokes): kill cached
-                        // decode before the next lookup.
-                        self.exec.invalidate_decode();
-                    }
-                    match completion.fault {
-                        Some(fault) => {
-                            self.cores[core_idx].halt(StopCause::BusFault(fault), &mut events);
-                            halted = true;
-                        }
-                        None => {
-                            let access = MemAccessInfo {
-                                addr: completion.request.addr,
-                                width: completion.request.width,
-                                is_write: completion.request.kind.is_write(),
-                                value: match completion.request.kind {
-                                    XferKind::Write => completion.request.wdata,
-                                    _ => completion.rdata,
-                                },
-                            };
-                            self.cores[core_idx].retire(instr, Some(access), &mut events);
-                        }
-                    }
+                    halted = self.finish_data(core_idx, instr, &completion, &mut events);
                 }
                 None => {
                     if extra > 0 {
@@ -577,6 +704,312 @@ impl Soc {
         }
         executed > 0
     }
+
+    /// Executes every runnable core as one merged block that advances by
+    /// bus grants instead of cycles: each core is a [`Lane`], and the loop
+    /// always takes the earliest event — a grant, a completion, or a
+    /// core's last execute cycle — in `step_events`' same-cycle order (the
+    /// bus before the cores). A grant happens at the first cycle the bus
+    /// is free and a lane is queued, to the lane `grant_next` would pick;
+    /// every access is performed at its exact completion cycle; and each
+    /// instruction follows [`Soc::run_block`]'s closed form, stretched by
+    /// whatever its fetch and data access waited for the bus.
+    ///
+    /// Lanes load from any pipeline phase and write back at the block end
+    /// `E` as the per-cycle machine would hold them there: phases, queued
+    /// and in-flight requests, per-master waits, contention, and
+    /// `last_xact` (set only if a transfer completed at `E - 1`). The
+    /// block ends at `target`, at the timer's next fire, the cycle after
+    /// any halt, the cycle a core would fetch outside the flash window or
+    /// take an interrupt, or the cycle after a non-passive peripheral
+    /// request is queued — the per-cycle step takes it from there.
+    /// Returns `true` if time advanced.
+    fn run_merged(&mut self, target: u64) -> bool {
+        let start = self.cycle;
+        let mut lanes = std::mem::take(&mut self.exec.lanes);
+        for i in 0..self.cores.len() {
+            match self.load_lane(i, start) {
+                Some(lane) => lanes.push(lane),
+                None => {
+                    lanes.clear();
+                    self.exec.lanes = lanes;
+                    return false;
+                }
+            }
+        }
+        let mut m = Merge {
+            lanes,
+            end: target.min(self.periph().timer_wake().unwrap_or(u64::MAX)),
+            busy_from: start,
+            bus_free: start,
+            last_done: None,
+            instrs: 0,
+            events: std::mem::take(&mut self.scratch),
+        };
+        // The lanes own the bus from here to the write-back. (A fetch
+        // loaded from `FetchIssue` queues at `start + 1`: not on the bus.)
+        for (i, lane) in m.lanes.iter().enumerate() {
+            match *lane {
+                Lane::Queued { since, .. } if since == start => {
+                    self.bus.cancel_request(MasterId(i as u8));
+                }
+                Lane::Granted { done, .. } => {
+                    self.bus.take_in_flight();
+                    m.bus_free = done + 1;
+                }
+                _ => {}
+            }
+        }
+        loop {
+            let mut next = u64::MAX;
+            let mut queued = u64::MAX;
+            for lane in &m.lanes {
+                match *lane {
+                    Lane::Queued { since, .. } => queued = queued.min(since),
+                    Lane::Granted { done, .. } => next = next.min(done),
+                    Lane::Exec { until, .. } => next = next.min(until),
+                    Lane::Off => {}
+                }
+            }
+            let grant_at = queued.max(m.bus_free);
+            let t = next.min(grant_at);
+            if t >= m.end {
+                break;
+            }
+            if grant_at == t {
+                self.merge_grant(&mut m, t);
+            }
+            for i in 0..m.lanes.len() {
+                match m.lanes[i] {
+                    Lane::Granted { done, req, access } if done == t => {
+                        self.merge_complete(&mut m, i, t, req, access);
+                    }
+                    Lane::Exec { until, instr } if until == t => {
+                        self.merge_exec_last(&mut m, i, instr, t);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        self.scratch = std::mem::take(&mut m.events);
+
+        // Write back the machine as it stands at the block end.
+        let end = m.end;
+        m.book_contention(&mut self.bus, end);
+        self.bus.skip_quiet_cycles(end - start);
+        for (i, lane) in m.lanes.drain(..).enumerate() {
+            let master = MasterId(i as u8);
+            let waiting = |access| match access {
+                Access::Fetch(_) => Phase::FetchWait,
+                Access::Data(instr) => Phase::MemWait { instr },
+            };
+            match lane {
+                Lane::Queued { since, req, access } if since <= end => {
+                    self.bus.request(master, req);
+                    self.bus.add_wait(master, end - since);
+                    self.cores[i].set_phase(waiting(access));
+                }
+                Lane::Granted { done, req, access } => {
+                    self.bus.put_in_flight(master, req, (done + 1 - end) as u32);
+                    self.cores[i].set_phase(waiting(access));
+                }
+                Lane::Exec { until, instr } => self.cores[i].set_phase(Phase::Exec {
+                    instr,
+                    cycles_left: (until + 1 - end) as u32,
+                }),
+                // Halted, or fetching at `end` itself: `FetchIssue` as the
+                // retire left it.
+                _ => {}
+            }
+        }
+        if m.last_done != Some(end - 1) {
+            self.bus.clear_last_xact();
+        }
+        self.exec.lanes = m.lanes;
+        self.cycle = end;
+        self.exec.stats.block_cycles += end - start;
+        self.exec.stats.block_instrs += m.instrs;
+        self.exec.stats.blocks += 1;
+        true
+    }
+
+    /// Core `i` as a merged lane at cycle `now`, or `None` if it cannot be
+    /// merged here: a fetch outside the flash window or into an interrupt,
+    /// or a non-passive peripheral request queued or in flight.
+    fn load_lane(&self, i: usize, now: u64) -> Option<Lane> {
+        let core = &self.cores[i];
+        if core.next_wake(now).is_none() {
+            return Some(Lane::Off);
+        }
+        debug_assert!(core.lane_ready(), "the probe merges ready lanes only");
+        let access = match core.phase() {
+            Phase::FetchIssue => {
+                return self.fetchable(core).then(|| Lane::Queued {
+                    since: now + 1,
+                    req: fetch_request(core.pc()),
+                    access: Access::Fetch(None),
+                });
+            }
+            Phase::Exec { instr, cycles_left } => {
+                return Some(Lane::Exec {
+                    until: now + u64::from(cycles_left) - 1,
+                    instr,
+                });
+            }
+            Phase::FetchWait => Access::Fetch(None),
+            Phase::MemWait { instr } => Access::Data(instr),
+        };
+        let master = MasterId(i as u8);
+        let (req, lane) = match (self.bus.queued(master), self.bus.in_flight()) {
+            (Some(req), _) => (
+                req,
+                Lane::Queued {
+                    since: now,
+                    req,
+                    access,
+                },
+            ),
+            (None, Some((owner, req, left))) if owner == master => (
+                req,
+                Lane::Granted {
+                    done: now + u64::from(left) - 1,
+                    req,
+                    access,
+                },
+            ),
+            _ => return None,
+        };
+        let mergeable = match access {
+            Access::Fetch(_) => self.exec.flash_window.contains(req.addr),
+            Access::Data(_) => self.passive(&req),
+        };
+        mergeable.then_some(lane)
+    }
+
+    /// Grants the bus at cycle `t` to the queued lane arbitration picks.
+    fn merge_grant(&mut self, m: &mut Merge, t: u64) {
+        let i = self
+            .bus
+            .arbitrate(
+                |i| matches!(m.lanes.get(i), Some(Lane::Queued { since, .. }) if *since <= t),
+            )
+            .expect("a lane is queued by the grant cycle");
+        let Lane::Queued { since, req, access } = m.lanes[i] else {
+            unreachable!("arbitrated a queued lane")
+        };
+        // The previous transfer is over: book its contention while every
+        // lane that waited on it is still queued.
+        m.book_contention(&mut self.bus, t);
+        let (cycles, access) = match access {
+            Access::Fetch(_) => match self.decode_slot(req.addr, t) {
+                Ok(slot) => (slot.fetch_cycles, Access::Fetch(Some(slot))),
+                Err(cycles) => (cycles, Access::Fetch(None)),
+            },
+            Access::Data(_) => (self.bus.xfer_cycles(&req), access),
+        };
+        let master = MasterId(i as u8);
+        self.bus.begin_fast_xfer(master, cycles);
+        self.bus.add_wait(master, t - since);
+        m.busy_from = t;
+        m.bus_free = t + u64::from(cycles);
+        m.lanes[i] = Lane::Granted {
+            done: m.bus_free - 1,
+            req,
+            access,
+        };
+    }
+
+    /// Completes lane `i`'s transfer at cycle `t` and runs its core's tick
+    /// on the completion: decode, or retire the data access.
+    fn merge_complete(&mut self, m: &mut Merge, i: usize, t: u64, req: BusRequest, access: Access) {
+        let master = MasterId(i as u8);
+        // `last_xact` is clear: the transfer's grant cleared it, and
+        // nothing else completed since.
+        m.last_done = Some(t);
+        match access {
+            Access::Fetch(slot) => {
+                // Nothing else completes while the fetch holds the bus, so
+                // a slot looked up at the grant still holds the word.
+                let slot = match slot {
+                    Some(slot) => Ok(slot),
+                    None => self.decode_slot(req.addr, t),
+                };
+                let slot = match slot {
+                    Ok(slot) => slot,
+                    Err(_) => {
+                        let completion = self.bus.finish_fast_xfer(master, req, t);
+                        let fault = completion.fault.expect("peek faulted, so must the fetch");
+                        return self.merge_halt(m, i, StopCause::BusFault(fault), t);
+                    }
+                };
+                self.bus.finish_cached_fetch(master, req.addr, slot.word);
+                if let Some(cause) = slot.stop_cause() {
+                    return self.merge_halt(m, i, cause, t);
+                }
+                let instr = slot.instr.expect("halt words handled above");
+                match extra_cycles(instr) {
+                    0 => self.merge_exec_last(m, i, instr, t),
+                    extra => {
+                        m.lanes[i] = Lane::Exec {
+                            until: t + u64::from(extra),
+                            instr,
+                        }
+                    }
+                }
+            }
+            Access::Data(instr) => {
+                let completion = self.bus.finish_fast_xfer(master, req, t);
+                if self.finish_data(i, instr, &completion, &mut m.events) {
+                    m.stop(i, t);
+                } else {
+                    self.merge_retired(m, i, t);
+                }
+            }
+        }
+    }
+
+    /// Lane `i`'s last execute cycle `t`: issue the data access (a
+    /// non-passive one ends the block once queued) or retire.
+    fn merge_exec_last(&mut self, m: &mut Merge, i: usize, instr: Instr, t: u64) {
+        match self.cores[i].data_request(instr) {
+            Some(req) => {
+                if !self.passive(&req) {
+                    m.end = m.end.min(t + 1);
+                }
+                m.lanes[i] = Lane::Queued {
+                    since: t + 1,
+                    req,
+                    access: Access::Data(instr),
+                };
+            }
+            None => {
+                self.cores[i].retire(instr, None, &mut m.events);
+                self.merge_retired(m, i, t);
+            }
+        }
+    }
+
+    /// Lane `i` retired at cycle `t`: its next fetch issues at `t + 1`
+    /// (the block ends there if that fetch cannot be batched).
+    fn merge_retired(&mut self, m: &mut Merge, i: usize, t: u64) {
+        m.events.clear();
+        m.instrs += 1;
+        let core = &self.cores[i];
+        if !self.fetchable(core) {
+            m.end = m.end.min(t + 1);
+        }
+        m.lanes[i] = Lane::Queued {
+            since: t + 2,
+            req: fetch_request(core.pc()),
+            access: Access::Fetch(None),
+        };
+    }
+
+    /// Halts lane `i`'s core at cycle `t`; the block ends after the cycle.
+    fn merge_halt(&mut self, m: &mut Merge, i: usize, cause: StopCause, t: u64) {
+        self.cores[i].halt(cause, &mut m.events);
+        m.stop(i, t);
+    }
 }
 
 #[cfg(test)]
@@ -586,35 +1019,38 @@ mod tests {
     use crate::cpu::{CoreConfig, DEFAULT_IRQ_VECTOR};
     use crate::event::CoreId;
     use crate::isa::Reg;
-    use crate::soc::{memmap, Soc, SocBuilder, SocState};
+    use crate::soc::{memmap, MemoryId, Soc, SocBuilder, SocState};
 
     const MODES: [ExecMode; 2] = [ExecMode::PerCycle, ExecMode::BlockBatched];
 
-    /// Runs `soc` for `total` cycles in uneven quanta (so blocks are cut
-    /// at awkward boundaries) and returns the final architectural state.
-    fn run_sliced(soc: &mut Soc, mode: ExecMode, total: u64) -> SocState {
-        soc.set_exec_mode(mode);
+    /// Runs `build()`'s SoC for `total` cycles in both execution modes,
+    /// side by side in the same uneven quanta (so blocks are cut at
+    /// awkward boundaries), and asserts bit-identical architectural state
+    /// at every quantum boundary. Returns the final state.
+    fn assert_mode_identical(build: impl Fn() -> Soc, total: u64) -> SocState {
+        let mut reference = build();
+        reference.set_exec_mode(ExecMode::PerCycle);
+        let mut soc = build();
+        soc.set_exec_mode(ExecMode::BlockBatched);
         let mut left = total;
         let mut quantum = 1u64;
         while left > 0 {
             let n = quantum.min(left);
+            reference.run_cycles(n);
             soc.run_cycles(n);
             left -= n;
             quantum = (quantum * 3 + 1) % 97 + 1;
+            assert_eq!(
+                soc.save_state(),
+                reference.save_state(),
+                "BlockBatched diverged from PerCycle by cycle {}",
+                soc.cycle()
+            );
         }
-        assert_eq!(soc.exec_stats().total_cycles(), total);
+        for s in [&reference, &soc] {
+            assert_eq!(s.exec_stats().total_cycles(), total);
+        }
         soc.save_state()
-    }
-
-    /// Asserts that both execution modes land on bit-identical
-    /// architectural state after `total` cycles of `build()`'s SoC.
-    fn assert_mode_identical(build: impl Fn() -> Soc, total: u64) -> SocState {
-        let mut reference = build();
-        let per_cycle = run_sliced(&mut reference, ExecMode::PerCycle, total);
-        let mut soc = build();
-        let batched = run_sliced(&mut soc, ExecMode::BlockBatched, total);
-        assert_eq!(batched, per_cycle, "BlockBatched diverged from PerCycle");
-        per_cycle
     }
 
     fn single_core_soc(src: &str) -> Soc {
@@ -917,7 +1353,11 @@ mod tests {
             );
         }
         assert!(!soc.core(CoreId(1)).is_halted());
-        assert_eq!(soc.exec_stats().block_cycles, 0, "two runnable cores step");
+        assert!(
+            soc.exec_stats().block_cycles > 0,
+            "the two-core phase batches: {:?}",
+            soc.exec_stats()
+        );
         let before = *soc.exec_stats();
         for s in [&mut reference, &mut soc] {
             s.run_kernel(
@@ -934,6 +1374,246 @@ mod tests {
         assert!(soc.core(CoreId(1)).is_halted());
         assert_eq!(soc.cycle(), reference.cycle(), "stops on the exact cycle");
         assert_eq!(soc.save_state(), reference.save_state());
+    }
+
+    /// Two or more undivided cores contending for the bus: same-cycle
+    /// reset fetches, `swap` on one shared SRAM word, `mul`/`div` extra cycles,
+    /// `OUT` stores and `IN` loads, and a timer IRQ on core 0 whose ACK
+    /// write ends the merged block. Core 1 (and 2) halt long before core 0.
+    fn contending_soc(cores: usize, round_robin: bool, sram_wait_states: u32) -> Soc {
+        let src = format!(
+            "
+            .equ LOCK,   0xD0000100
+            .equ OUT0,   0xF0000100
+            .equ IN0,    0xF0000200
+            .equ PERIOD, 0xF0000008
+            .equ ACK,    0xF000000C
+            .org 0x80000000
+            start:
+                mfsr r1, coreid
+                li   r2, LOCK
+                slli r11, r1, 2
+                li   r10, OUT0
+                add  r10, r10, r11
+                li   r12, IN0
+                add  r12, r12, r11
+                li   r3, 120
+                bne  r1, r0, loop
+                li   r3, 900
+                li   r4, PERIOD
+                li   r5, 997
+                sw   r5, 0(r4)
+                li   r5, 1
+                mtsr irqen, r5
+            loop:
+                li   r6, 1
+                swap r6, r2, r6
+                mul  r7, r3, r3
+                div  r15, r7, r3
+                sw   r7, 0(r10)
+                lw   r8, 0(r12)
+                add  r9, r9, r8
+                add  r9, r9, r6
+                sw   r0, 0(r2)
+                addi r3, r3, -1
+                bne  r3, r0, loop
+                halt
+
+            .org {vector:#x}
+            isr:
+                li   r13, ACK
+                sw   r0, 0(r13)
+                addi r14, r14, 1
+                eret
+            ",
+            vector = DEFAULT_IRQ_VECTOR,
+        );
+        let mut builder = SocBuilder::new()
+            .cores(cores)
+            .sram_wait_states(sram_wait_states);
+        if round_robin {
+            builder = builder.round_robin_bus();
+        }
+        let mut soc = builder.build();
+        soc.load_program(&assemble(&src).expect("assembles"));
+        for port in 0..cores {
+            soc.periph_mut().set_input(port, 7 + port as u32);
+        }
+        soc
+    }
+
+    #[test]
+    fn contending_cores_merge_mode_identically() {
+        for round_robin in [false, true] {
+            for ws in [0, 2] {
+                let arm = format!("round_robin {round_robin}, sram wait states {ws}");
+                let build = || contending_soc(2, round_robin, ws);
+                let state = assert_mode_identical(build, 60_000);
+                drop(state);
+
+                // Up to the first halt (core 1's), under `HaltStop::Any`:
+                // the same cycle and state as stepping, mostly merged.
+                let mut reference = build();
+                let mut stepped = 0;
+                while !reference.cores().any(|c| c.is_halted()) {
+                    reference.step();
+                    stepped += 1;
+                }
+                let mut soc = build();
+                let ran =
+                    soc.run_kernel(1_000_000, Some(HaltStop::Any), &mut crate::sink::NullSink);
+                assert_eq!(ran, stepped, "{arm}");
+                assert_eq!(soc.save_state(), reference.save_state(), "{arm}");
+                assert!(soc.core(CoreId(1)).is_halted(), "{arm}");
+                let stats = soc.exec_stats();
+                assert!(
+                    stats.block_cycles > ran / 2,
+                    "{arm}: two contending cores batch: {stats:?}"
+                );
+                // The run exercised what it claims to: interrupts taken and
+                // acknowledged, ports written, the lock word contended.
+                soc.run_cycles(40_000);
+                assert!(soc.core(CoreId(0)).reg(Reg::new(14)) > 5, "{arm}");
+                assert!(soc.periph().output_history(1).len() >= 100, "{arm}");
+                let counters = soc.bus_counters();
+                assert!(counters.contended_cycles > 0, "{arm}");
+                assert!(counters.per_master[1].wait_cycles > 0, "{arm}");
+            }
+            // Three lanes: two can wait at once, so contended cycles are
+            // the union of the waits, not their sum.
+            assert_mode_identical(|| contending_soc(3, round_robin, 2), 60_000);
+        }
+    }
+
+    #[test]
+    fn merged_fault_halts_are_mode_identical() {
+        // Core 1 faults on a store into flash, then core 0 on a load from
+        // an unmapped address; the other core keeps running meanwhile.
+        let src = "
+            .org 0x80000000
+            start:
+                mfsr r1, coreid
+                li   r2, 0xD0000000
+                li   r3, 60
+                bne  r1, r0, loop
+                li   r3, 200
+            loop:
+                lw   r4, 0(r2)
+                addi r4, r4, 1
+                sw   r4, 0(r2)
+                addi r3, r3, -1
+                bne  r3, r0, loop
+                bne  r1, r0, bad_store
+                li   r5, 0x10000000
+                lw   r6, 0(r5)
+                halt
+            bad_store:
+                li   r5, 0x80000000
+                sw   r4, 0(r5)
+                halt
+        ";
+        for round_robin in [false, true] {
+            let build = || {
+                let mut builder = SocBuilder::new().cores(2);
+                if round_robin {
+                    builder = builder.round_robin_bus();
+                }
+                let mut soc = builder.build();
+                soc.load_program(&assemble(src).expect("assembles"));
+                soc
+            };
+            assert_mode_identical(build, 20_000);
+            let mut soc = build();
+            soc.run_cycles(20_000);
+            for core in soc.cores() {
+                assert!(
+                    matches!(
+                        core.state(),
+                        crate::cpu::RunState::Halted(StopCause::BusFault(_))
+                    ),
+                    "{:?}",
+                    core.state()
+                );
+            }
+            assert!(soc.exec_stats().block_cycles > 1_000);
+        }
+    }
+
+    /// True while `soc` sits mid-transaction: a bus request queued or in
+    /// flight while a core is inside a multi-cycle execute.
+    fn mid_transaction(soc: &Soc) -> bool {
+        soc.bus.requesters().next().is_some()
+            && soc
+                .cores
+                .iter()
+                .any(|c| matches!(c.phase(), Phase::Exec { cycles_left, .. } if cycles_left > 1))
+    }
+
+    /// Architectural state plus the SRAM image, which the contending
+    /// program writes (the lock word).
+    fn state_and_sram(soc: &Soc) -> (SocState, Vec<u8>) {
+        let sram = soc.memory_image(MemoryId::Sram).expect("sram").to_vec();
+        (soc.save_state(), sram)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
+
+        /// Randomized contention under either arbiter: two or three
+        /// undivided cores at 0–2 SRAM wait states, run side by side in
+        /// both modes in random uneven quanta, then saved and restored
+        /// across modes at cycle `split` and at the first mid-transaction
+        /// cycle from `split` on.
+        #[test]
+        fn random_contention_is_mode_identical(
+            cores in 2usize..=3,
+            round_robin in proptest::arbitrary::any::<bool>(),
+            ws in 0u32..3,
+            quanta in proptest::collection::vec(1u64..900, 1..12),
+            split in 1u64..3000,
+            tail in 1u64..4000,
+        ) {
+            let build = || contending_soc(cores, round_robin, ws);
+            let mut reference = build();
+            reference.set_exec_mode(ExecMode::PerCycle);
+            let mut soc = build();
+            soc.set_exec_mode(ExecMode::BlockBatched);
+            for &q in &quanta {
+                reference.run_cycles(q);
+                soc.run_cycles(q);
+                proptest::prop_assert_eq!(state_and_sram(&soc), state_and_sram(&reference));
+            }
+
+            let mut reference = build();
+            reference.set_exec_mode(ExecMode::PerCycle);
+            reference.run_cycles(split);
+            let mut mid_at = split;
+            while !mid_transaction(&reference) && mid_at < split + 400 {
+                reference.run_cycles(1);
+                mid_at += 1;
+            }
+            proptest::prop_assert!(mid_transaction(&reference), "no capture from {}", split);
+            let end = mid_at + tail;
+            reference.run_cycles(tail);
+            let want = state_and_sram(&reference);
+            for at in [split, mid_at] {
+                for (first, second) in [MODES, [MODES[1], MODES[0]]].map(|m| (m[0], m[1])) {
+                    let mut warm = build();
+                    warm.set_exec_mode(first);
+                    warm.run_cycles(at);
+                    if at == mid_at {
+                        proptest::prop_assert!(mid_transaction(&warm));
+                    }
+                    let (state, sram) = state_and_sram(&warm);
+                    let mut cold = build();
+                    cold.restore_state(&state);
+                    cold.restore_memory_image(MemoryId::Sram, &sram);
+                    cold.set_exec_mode(second);
+                    cold.run_cycles(end - at);
+                    proptest::prop_assert_eq!(&state_and_sram(&cold), &want);
+                }
+            }
+        }
     }
 
     /// Satellite regression: a debug-master write into the emulation-RAM

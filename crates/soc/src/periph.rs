@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 
-use crate::bus::{Addr, BusFault, BusTarget, XferKind};
+use crate::bus::{Addr, BusFault, BusRequest, BusTarget, XferKind};
 use crate::isa::MemWidth;
 
 /// Number of output (actuator) ports.
@@ -268,6 +268,21 @@ impl PeriphBlock {
 
     fn off(&self, addr: Addr) -> u32 {
         addr.wrapping_sub(self.base)
+    }
+
+    /// True for an access that touches nothing the SoC samples each cycle
+    /// (timer, IRQ level, DMA command, trigger lines): a word read of any
+    /// register, or a word write to an `OUT[i]` latch. The execution
+    /// kernel's batched executors perform passive accesses in-block at
+    /// their exact completion cycle; every other peripheral access ends the
+    /// block and is stepped.
+    pub(crate) fn is_passive(&self, request: &BusRequest) -> bool {
+        request.width == MemWidth::Word
+            && match request.kind {
+                XferKind::Read => true,
+                XferKind::Write => (0x100..=0x10C).contains(&self.off(request.addr)),
+                XferKind::Fetch | XferKind::Atomic => false,
+            }
     }
 }
 

@@ -115,7 +115,8 @@ grep -q '"corr"' target/analysis/t15_journal.json \
 # The t16_* metric set must land in the Prometheus artifact.
 cargo run --release -q -p mcds-bench --bin t16_kernel -- --smoke
 for metric in t16_block_cycles_total t16_skipped_cycles_total \
-              t16_line_speedup t16_quiet_speedup t16_decode_hit_rate; do
+              t16_line_speedup t16_quiet_speedup t16_decode_hit_rate \
+              t16_two_core_speedup; do
   grep -q "$metric" target/analysis/t16_kernel_telemetry.prom \
     || { echo "missing $metric in t16_kernel_telemetry.prom"; exit 1; }
 done

@@ -199,9 +199,10 @@ proptest! {
 }
 
 /// A workload with phases the kernel treats differently: a straight-line
-/// hot loop (block-batchable), timer IRQs with an ISR (boundary events +
-/// fallback), peripheral port writes (excluded from blocks), and a final
-/// halt (quiescent tail, skippable).
+/// hot loop (block-batchable) with multi-cycle `mul`/`div`, timer IRQs
+/// with an ISR whose ACK write ends a block, an `OUT` port write (passive:
+/// batched), and a final halt (quiescent tail, skippable). On two cores
+/// both run it, contending for the bus and the shared SRAM words.
 fn kernel_source(iterations: u32, timer_period: u32) -> String {
     format!(
         "
@@ -219,6 +220,7 @@ fn kernel_source(iterations: u32, timer_period: u32) -> String {
             li r6, 0xD0000000
         loop:
             mul r3, r1, r1
+            div r9, r3, r1
             sw  r3, 0(r6)
             lw  r4, 0(r6)
             xor r5, r5, r4
@@ -241,18 +243,36 @@ fn kernel_source(iterations: u32, timer_period: u32) -> String {
     )
 }
 
-/// An untraced production device running the kernel workload.
-fn kernel_device(src: &str) -> Device {
-    let mut dev = DeviceBuilder::new(DeviceVariant::Production)
-        .core(CoreConfig {
+/// An untraced production device running the kernel workload on `cores`
+/// undivided cores.
+fn kernel_device(src: &str, cores: usize) -> Device {
+    let mut builder = DeviceBuilder::new(DeviceVariant::Production);
+    for _ in 0..cores {
+        builder = builder.core(CoreConfig {
             reset_pc: 0x8000_0000,
             clock_div: 1,
             ..Default::default()
-        })
-        .build();
+        });
+    }
+    let mut dev = builder.build();
     dev.soc_mut()
         .load_program(&assemble(src).expect("assembles"));
     dev
+}
+
+/// True while `dev` sits mid-transaction: a bus request queued or in
+/// flight and, with `cores > 1`, also a core inside a multi-cycle execute
+/// (`Exec` with `cycles_left > 1`). Read from the state's `Debug` form,
+/// which is the only view of the pipeline outside the SoC crate.
+fn mid_transaction(dev: &Device, cores: usize) -> bool {
+    let state = format!("{:?}", dev.soc().save_state());
+    let on_bus = state.contains("Some(BusRequest") || state.contains("active: Some(");
+    let long_exec = state.split("phase: Exec {").skip(1).any(|rest| {
+        let left = rest.split("cycles_left: ").nth(1).unwrap_or("");
+        let digits: String = left.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse::<u32>().is_ok_and(|n| n > 1)
+    });
+    on_bus && (cores == 1 || long_exec)
 }
 
 /// Drives `dev` through the shared schedule: uneven run quanta with
@@ -294,11 +314,12 @@ proptest! {
         quanta in proptest::collection::vec(1u64..800, 1..10),
         trig_pokes in proptest::collection::vec((0usize..10, 0u32..4), 0..4),
         debug_reads in proptest::collection::vec(0usize..10, 0..3),
+        cores in 1usize..=2,
     ) {
         let timer_period = [0u32, 150, 700, 2500][timer_sel];
         let src = kernel_source(iterations, timer_period);
         let run = |mode: mcds_soc::ExecMode| {
-            let mut dev = kernel_device(&src);
+            let mut dev = kernel_device(&src, cores);
             dev.set_exec_mode(mode);
             drive_schedule(&mut dev, &quanta, &trig_pokes, &debug_reads);
             (
@@ -349,39 +370,58 @@ proptest! {
     /// Snapshot round-trips cross execution modes: state captured from a
     /// batched run restores into a per-cycle continuation (and vice
     /// versa) with bit-identical results — the decode cache is derived
-    /// state, invisible to `SocSnapshot`.
+    /// state, invisible to `SocSnapshot`. Each run is captured twice: at
+    /// the arbitrary cycle `split`, and at the first mid-transaction cycle
+    /// from `split` on, so a batched run must leave queued/in-flight
+    /// requests and execute phases exactly as stepping.
     #[test]
     fn snapshots_cross_execution_modes(
         iterations in 1u32..150,
         timer_sel in 0usize..3,
         split in 1u64..3000,
         tail in 1u64..3000,
+        cores in 1usize..=2,
     ) {
         let timer_period = [0u32, 400, 1800][timer_sel];
         let src = kernel_source(iterations, timer_period);
-        // Reference: one per-cycle run all the way through.
-        let mut reference = kernel_device(&src);
+        // Reference: one per-cycle run all the way through, noting the
+        // mid-transaction capture cycle on the way.
+        let mut reference = kernel_device(&src, cores);
         reference.set_exec_mode(mcds_soc::ExecMode::PerCycle);
-        reference.run_cycles(split + tail);
-        prop_assert_eq!(reference.exec_stats().total_cycles(), split + tail);
+        reference.run_cycles(split);
+        let mut mid_at = split;
+        while !mid_transaction(&reference, cores) && mid_at < split + 400 {
+            reference.run_cycles(1);
+            mid_at += 1;
+        }
+        let mid = mid_transaction(&reference, cores);
+        prop_assert!(mid || reference.soc().cores().all(|c| c.is_halted()));
+        let end = mid_at + tail;
+        reference.run_cycles(tail);
+        prop_assert_eq!(reference.exec_stats().total_cycles(), end);
         let want = device_state_hash(&reference);
 
         // Batched first half → snapshot → restore → per-cycle second
-        // half, and the reverse.
-        for (first, second) in [
-            (mcds_soc::ExecMode::BlockBatched, mcds_soc::ExecMode::PerCycle),
-            (mcds_soc::ExecMode::PerCycle, mcds_soc::ExecMode::BlockBatched),
-        ] {
-            let mut warm = kernel_device(&src);
-            warm.set_exec_mode(first);
-            warm.run_cycles(split);
-            let snap = SocSnapshot::capture(&warm);
-            let mut cold = kernel_device(&src);
-            snap.restore_into(&mut cold);
-            cold.set_exec_mode(second);
-            cold.run_cycles(tail);
-            prop_assert_eq!(cold.exec_stats().total_cycles(), tail);
-            prop_assert_eq!(device_state_hash(&cold), want);
+        // half, and the reverse, from either capture cycle.
+        for at in [split, mid_at] {
+            for (first, second) in [
+                (mcds_soc::ExecMode::BlockBatched, mcds_soc::ExecMode::PerCycle),
+                (mcds_soc::ExecMode::PerCycle, mcds_soc::ExecMode::BlockBatched),
+            ] {
+                let mut warm = kernel_device(&src, cores);
+                warm.set_exec_mode(first);
+                warm.run_cycles(at);
+                if at == mid_at {
+                    prop_assert_eq!(mid_transaction(&warm, cores), mid);
+                }
+                let snap = SocSnapshot::capture(&warm);
+                let mut cold = kernel_device(&src, cores);
+                snap.restore_into(&mut cold);
+                cold.set_exec_mode(second);
+                cold.run_cycles(end - at);
+                prop_assert_eq!(cold.exec_stats().total_cycles(), end - at);
+                prop_assert_eq!(device_state_hash(&cold), want);
+            }
         }
     }
 }
