@@ -13,9 +13,14 @@
 //!   hashes asserted, block-batched >= 5x per-cycle;
 //! * **T16b** — quiescent skip: a timer-wait workload (halted core, armed
 //!   timer) where block-batched must be >= 10x per-cycle;
-//! * **T16c** — observation safety: the same workload traced; both modes
-//!   must produce identical encoded trace bytes, decoded messages and
-//!   state hashes (the idle gate keeps observed runs exact);
+//! * **T16c** — traced sessions: the catalog workloads as traced
+//!   farm-recipe sessions (always-on program trace) through `Session::run`
+//!   at the farm quantum, plus one comparator-armed row (program and data
+//!   trace in a comparator window), per mode. The MCDS only observes, so
+//!   the batched runs hand it events instead of cycles; trace bytes,
+//!   decoded messages and state hashes are asserted identical on every
+//!   row, and batched traced runs must reach >= 3x per-cycle on one core
+//!   and >= 2x on two;
 //! * **T16d** — the consumer's view: the catalog workloads as untraced
 //!   farm-recipe sessions through `Session::run` at the farm quantum, per
 //!   mode, with ExecStats. State hashes are asserted identical on every
@@ -29,15 +34,17 @@
 //!
 //! Run with `--smoke` for a short CI-friendly pass.
 
-use mcds::observer::{CoreTraceConfig, TraceQualifier};
-use mcds::McdsConfig;
+use mcds::observer::{CoreTraceConfig, DataTraceConfig, TraceQualifier};
+use mcds::{McdsConfig, ProgramComparator, SignalRef};
 use mcds_bench::{print_table, write_telemetry_artifacts, BenchArgs};
 use mcds_farm::{device_spec, FarmConfig};
 use mcds_host::Session;
+use mcds_psi::device::DeviceSpec;
 use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
-use mcds_replay::{device_state_hash, SocSnapshot};
+use mcds_replay::{device_state_hash, trace_bytes, SocSnapshot};
 use mcds_soc::asm::assemble;
 use mcds_soc::cpu::CoreConfig;
+use mcds_soc::event::CoreId;
 use mcds_soc::{ExecMode, ExecStats};
 use mcds_telemetry::Telemetry;
 use mcds_trace::StreamDecoder;
@@ -76,35 +83,46 @@ const TIMER_WAIT: &str = "
         halt
 ";
 
-fn device(src: &str, trace: Option<McdsConfig>) -> Device {
-    let variant = if trace.is_some() {
-        DeviceVariant::EdSideBooster
-    } else {
-        DeviceVariant::Production
-    };
-    let mut b = DeviceBuilder::new(variant).core(CoreConfig {
-        reset_pc: 0x8000_0000,
-        clock_div: 1,
-        ..Default::default()
-    });
-    if let Some(config) = trace {
-        b = b.mcds(config);
-    }
-    let mut dev = b.build();
+fn device(src: &str) -> Device {
+    let mut dev = DeviceBuilder::new(DeviceVariant::Production)
+        .core(CoreConfig {
+            reset_pc: 0x8000_0000,
+            clock_div: 1,
+            ..Default::default()
+        })
+        .build();
     dev.soc_mut()
         .load_program(&assemble(src).expect("assembles"));
     dev
 }
 
-fn tracing() -> McdsConfig {
+/// The comparator-armed tracing setup of T16c's Engine row: program and
+/// data trace inside a window a comparator on `cycle` (the loop head)
+/// opens and one on `load_ok` (mid-loop) closes.
+fn comparator_window(w: Workload) -> McdsConfig {
+    let program = w.program();
+    let at = |label: &str| ProgramComparator::at(program.symbol(label).expect("engine label"));
+    let window = TraceQualifier::Window {
+        start: SignalRef::ProgComp {
+            core: CoreId(0),
+            idx: 0,
+        },
+        stop: SignalRef::ProgComp {
+            core: CoreId(0),
+            idx: 1,
+        },
+    };
     McdsConfig {
         cores: vec![CoreTraceConfig {
-            program_trace: TraceQualifier::Always,
+            program_comparators: vec![at("cycle"), at("load_ok")],
+            program_trace: window.clone(),
+            data_trace: DataTraceConfig {
+                qualifier: window,
+                filter: None,
+            },
             ..Default::default()
         }],
-        fifo_depth: 1 << 12,
-        sink_bandwidth: 16,
-        ..Default::default()
+        ..McdsConfig::program_trace(1)
     }
 }
 
@@ -112,7 +130,7 @@ fn tracing() -> McdsConfig {
 /// wall seconds, the device state hash, the snapshot hash and the kernel
 /// counters.
 fn timed(src: &str, mode: ExecMode, cycles: u64) -> (f64, u64, u64, ExecStats) {
-    let mut dev = device(src, None);
+    let mut dev = device(src);
     dev.set_exec_mode(mode);
     let start = Instant::now();
     dev.run_cycles(cycles);
@@ -127,18 +145,24 @@ fn timed(src: &str, mode: ExecMode, cycles: u64) -> (f64, u64, u64, ExecStats) {
 
 const MODES: [ExecMode; 2] = [ExecMode::PerCycle, ExecMode::BlockBatched];
 
-/// One untraced farm-recipe session of `w` run for `cycles` in farm
-/// quanta under `mode`, or until its first halt if `halts`. Returns the
-/// cycles run, wall seconds, the final state hash and the kernel counters
-/// accumulated by the runs.
+/// One farm-recipe session of `w` with MCDS configuration `mcds` (none:
+/// untraced) run for `cycles` in farm quanta under `mode`, or until its
+/// first halt if `halts`. Returns the cycles run, wall seconds, the final
+/// state hash, the kernel counters accumulated by the runs and the stored
+/// trace bytes.
 fn session_run(
     w: Workload,
+    mcds: Option<McdsConfig>,
     mode: ExecMode,
     cycles: u64,
     quantum: u64,
     halts: bool,
-) -> (u64, f64, u64, ExecStats) {
-    let mut dev = device_spec(w, false).build();
+) -> (u64, f64, u64, ExecStats, Vec<u8>) {
+    let mut dev = DeviceSpec {
+        mcds,
+        ..device_spec(w, false)
+    }
+    .build();
     dev.soc_mut().load_program(&w.program());
     let mut s = Session::attach(dev, FarmConfig::default().iface, &w.program(), None)
         .expect("session attaches");
@@ -162,7 +186,8 @@ fn session_run(
         block_cycles: after.block_cycles - before.block_cycles,
         ..ExecStats::default()
     };
-    (cycles - left, wall, s.state_hash(), stats)
+    let trace = trace_bytes(s.debugger().device()).unwrap_or_default();
+    (cycles - left, wall, s.state_hash(), stats, trace)
 }
 
 fn mode_name(mode: ExecMode) -> &'static str {
@@ -286,37 +311,116 @@ fn main() {
         "a timer-wait run must skip almost everything: {skip_stats:?}"
     );
 
-    // --- T16c: traced runs are mode-independent, trace included. --------
-    let trace_cycles: u64 = args.scale(400_000, 100_000);
-    let traced = |mode: ExecMode| {
-        let mut dev = device(STRAIGHT_LINE, Some(tracing()));
-        dev.set_exec_mode(mode);
-        dev.run_cycles(trace_cycles);
-        let emem = dev.soc().mapper().emem().expect("development device");
-        let bytes = dev.sink().read_back(emem);
-        let msgs = StreamDecoder::new(bytes.clone())
-            .collect_all()
-            .expect("trace decodes");
-        (bytes, msgs, device_state_hash(&dev))
-    };
-    let want = traced(ExecMode::PerCycle);
-    let got = traced(ExecMode::BlockBatched);
-    assert_eq!(
-        got.0, want.0,
-        "traced run must produce identical sink bytes"
-    );
-    assert_eq!(got.1, want.1, "decoded trace differs");
-    assert_eq!(got.2, want.2, "state hash differs");
-    println!(
-        "T16c: traced runs bit-identical across both modes \
-         ({} trace bytes, {} decoded messages)\n",
-        want.0.len(),
-        want.1.len()
-    );
-
-    // --- T16d: catalog sessions at the farm quantum. --------------------
+    // --- T16c: traced catalog sessions at the farm quantum. -------------
     let session_cycles: u64 = args.scale(2_000_000, 400_000);
     let quantum = FarmConfig::default().quantum;
+    let mut rows = Vec::new();
+    let mut one_core_traced = f64::MAX;
+    let mut two_core_traced = f64::MAX;
+    for (w, label, mcds) in [
+        (Workload::Engine, "", None),
+        (Workload::Gearbox, "", None),
+        (Workload::EngineGearbox, "", None),
+        (Workload::EngineGearboxVehicle, "", None),
+        (
+            Workload::Engine,
+            " (comparator window)",
+            Some(comparator_window(Workload::Engine)),
+        ),
+    ] {
+        let mcds = mcds.unwrap_or_else(|| McdsConfig::program_trace(w.cores()));
+        let mut want = None;
+        let mut per_cycle_wall = 0.0;
+        for mode in MODES {
+            let mut best = f64::MAX;
+            let mut stats = ExecStats::default();
+            let mut msgs = 0;
+            for _ in 0..repeats {
+                let (cycles, wall, hash, s, trace) =
+                    session_run(w, Some(mcds.clone()), mode, session_cycles, quantum, false);
+                let decoded = StreamDecoder::new(trace.clone())
+                    .collect_all()
+                    .expect("trace decodes");
+                msgs = decoded.len();
+                assert_eq!(
+                    want.get_or_insert_with(|| (cycles, hash, trace.clone(), decoded.clone())),
+                    &(cycles, hash, trace, decoded),
+                    "{}{label}: traced {} session diverged from per-cycle \
+                     (cycles, state hash, trace bytes or decoded messages)",
+                    w.name(),
+                    mode_name(mode)
+                );
+                if wall < best {
+                    best = wall;
+                    stats = s;
+                }
+            }
+            let speedup = if mode == ExecMode::PerCycle {
+                per_cycle_wall = best;
+                1.0
+            } else {
+                per_cycle_wall / best
+            };
+            if mode == ExecMode::BlockBatched {
+                assert!(
+                    stats.block_cycles > stats.stepped_cycles,
+                    "{}{label}: traced batched sessions run mostly in blocks: {stats:?}",
+                    w.name()
+                );
+                let worst = if w.cores() == 2 {
+                    &mut two_core_traced
+                } else {
+                    &mut one_core_traced
+                };
+                *worst = worst.min(speedup);
+            }
+            rows.push(vec![
+                format!("{}{label}", w.name()),
+                mode_name(mode).into(),
+                format!("{session_cycles}"),
+                format!("{:.2}", session_cycles as f64 / best / 1e6),
+                format!("{speedup:.2}x"),
+                format!("{}", stats.stepped_cycles),
+                format!("{}", stats.skipped_cycles),
+                format!("{}", stats.block_cycles),
+                format!("{msgs}"),
+            ]);
+        }
+    }
+    print_table(
+        &format!(
+            "T16c: traced catalog sessions, {session_cycles} cycles through Session::run \
+             at the {quantum}-cycle farm quantum (best of {repeats})"
+        ),
+        &[
+            "workload",
+            "mode",
+            "cycles",
+            "Mcycles/s",
+            "vs per-cycle",
+            "stepped",
+            "skipped",
+            "block cyc",
+            "messages",
+        ],
+        &rows,
+    );
+    println!(
+        "traced sessions feed the MCDS events, not cycles: {one_core_traced:.2}x per-cycle \
+         at worst on one core, {two_core_traced:.2}x on two; trace bytes, decoded messages \
+         and state hashes identical\n"
+    );
+    assert!(
+        one_core_traced >= 3.0,
+        "single-core traced sessions must reach >= 3x per-cycle (got {one_core_traced:.2}x)"
+    );
+    assert!(
+        two_core_traced >= 2.0,
+        "two-core traced sessions must reach >= 2x per-cycle (got {two_core_traced:.2}x)"
+    );
+    let traced_speedup = one_core_traced.min(two_core_traced);
+
+    // --- T16d: catalog sessions at the farm quantum. --------------------
     let mut rows = Vec::new();
     let mut two_core_speedup = f64::MAX;
     for (w, halts) in [
@@ -334,7 +438,8 @@ fn main() {
             let mut stats = ExecStats::default();
             let mut ran = 0;
             for _ in 0..repeats {
-                let (cycles, wall, hash, s) = session_run(w, mode, session_cycles, quantum, halts);
+                let (cycles, wall, hash, s, _) =
+                    session_run(w, None, mode, session_cycles, quantum, halts);
                 assert_eq!(
                     *want.get_or_insert((cycles, hash)),
                     (cycles, hash),
@@ -431,6 +536,11 @@ fn main() {
         "merged two-core session speedup vs per-cycle (worst catalog row)",
     )
     .set(two_core_speedup);
+    r.gauge(
+        "t16_traced_speedup",
+        "traced catalog session speedup vs per-cycle (worst row)",
+    )
+    .set(traced_speedup);
     let decodes = block_stats.decode_hits + block_stats.decode_misses;
     r.gauge(
         "t16_decode_hit_rate",

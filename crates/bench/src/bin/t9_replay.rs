@@ -25,7 +25,7 @@
 use mcds_bench::{print_table, tracing_config, write_telemetry_artifacts, BenchArgs};
 use mcds_host::TimeTravel;
 use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
-use mcds_replay::{device_state_hash, trace_bytes, InputLog, Replayer, SocSnapshot};
+use mcds_replay::{device_state_hash, trace_bytes, Checkpoint, InputLog, Replayer, SocSnapshot};
 use mcds_soc::cpu::CoreConfig;
 use mcds_soc::event::{CoreId, SocEvent};
 use mcds_telemetry::{MetricValue, Subsystem, Telemetry, ThroughputMeter};
@@ -155,6 +155,23 @@ fn main() {
     println!(
         "emulator throughput: {:.1} Mcycles/s wall",
         cycles_per_sec / 1e6
+    );
+    // One checkpoint's own cost, best of 5 captures of the finished run
+    // (the device state is saved once; the checkpoint keeps it both as
+    // the snapshot's JSON component and parsed).
+    let mut capture_wall = f64::MAX;
+    let mut state_bytes = 0;
+    for _ in 0..5 {
+        let start = Instant::now();
+        let cp = Checkpoint::capture(tt.device());
+        capture_wall = capture_wall.min(start.elapsed().as_secs_f64());
+        state_bytes = cp.snapshot().components()[0].bytes().len();
+    }
+    println!(
+        "checkpoint capture at cycle {}: {:.2} ms (best of 5), device-state JSON {} bytes",
+        tt.device().soc().cycle(),
+        capture_wall * 1e3,
+        state_bytes
     );
 
     // --- T9b: snapshot size, per component and as JSON. -----------------

@@ -250,6 +250,10 @@ pub struct Mcds {
     /// an empty matrix does not have); the sorter backlog is still checked
     /// dynamically before the fast path is taken.
     idle_config: bool,
+    /// True when no counter, state machine, cross-trigger line or bus
+    /// trace is configured (see [`Mcds::is_observe_only`]). Fixed until
+    /// [`Mcds::reconfigure`], like `idle_config`.
+    observe_only: bool,
 }
 
 impl Mcds {
@@ -315,10 +319,11 @@ impl Mcds {
             config.sink_bandwidth,
             config.merge_policy,
         );
-        let idle_config = config.bus_trace.is_none()
+        let observe_only = config.bus_trace.is_none()
             && config.counters.is_empty()
             && config.state_machines.is_empty()
-            && config.cross_triggers.is_empty()
+            && config.cross_triggers.is_empty();
+        let idle_config = observe_only
             && config.cores.iter().all(|c| {
                 c.program_trace == TraceQualifier::Off
                     && c.data_trace.qualifier == TraceQualifier::Off
@@ -336,6 +341,7 @@ impl Mcds {
             scratch: Vec::new(),
             generated: 0,
             idle_config,
+            observe_only,
         }
     }
 
@@ -377,7 +383,12 @@ impl Mcds {
     }
 
     fn quantize(&self, cycle: u64) -> u64 {
-        cycle / self.config.timestamp_resolution * self.config.timestamp_resolution
+        // Resolution 1 (cycle level, the default) short-circuits the u64
+        // division out of the per-event path.
+        match self.config.timestamp_resolution {
+            1 => cycle,
+            r => cycle / r * r,
+        }
     }
 
     /// True when every cycle is provably a no-op for this block: nothing
@@ -391,6 +402,41 @@ impl Mcds {
     #[inline]
     pub fn is_idle(&self) -> bool {
         self.idle_config && self.sink.is_empty() && self.sorter.backlog() == 0
+    }
+
+    /// True when the block only observes: no counters, state machines,
+    /// cross-trigger lines or bus trace. Comparators, window qualifiers and
+    /// program/data trace act only on cycles with core events (retires,
+    /// halts, interrupt entries, trigger-in edges), so such a block never
+    /// produces trigger outputs and a cycle without those events only
+    /// drains the sorter: [`Mcds::advance_quiet`] does such cycles in
+    /// closed form. Fixed until [`Mcds::reconfigure`].
+    #[inline]
+    pub fn is_observe_only(&self) -> bool {
+        self.observe_only
+    }
+
+    /// Advances an observe-only block over the cycles `from..to`, none of
+    /// which carries a core event: the sink drains those cycles would do
+    /// (up to `sink_bandwidth` messages on each cycle that is a multiple
+    /// of `sink_drain_period`), bit-identical to calling
+    /// [`Mcds::on_cycle`] on each of them with their bus events.
+    pub fn advance_quiet(&mut self, from: u64, to: u64) {
+        debug_assert!(
+            self.observe_only,
+            "quiet cycles are only closed-form when observe-only"
+        );
+        let backlog = self.sorter.backlog();
+        if backlog == 0 || to <= from {
+            return;
+        }
+        // Drain cycles in `0..n`: the multiples of the period below `n`.
+        let period = self.config.sink_drain_period;
+        let drains_below = |n: u64| n.div_ceil(period);
+        let drains = drains_below(to) - drains_below(from);
+        let pops = drains.saturating_mul(self.config.sink_bandwidth as u64);
+        self.sorter
+            .drain_up_to(pops.min(backlog as u64) as usize, &mut self.sink);
     }
 
     /// Processes one SoC cycle: trigger extraction, complex triggers, the
@@ -454,12 +500,19 @@ impl Mcds {
             signals.assert_signal(s);
         }
 
-        // 3. Cross-trigger matrix.
-        let outputs = self.xunit.evaluate(&signals);
+        // 3. Cross-trigger matrix. (No line fires, and no window
+        // qualifier moves, on a cycle without signals.)
+        let outputs = if signals.is_empty() {
+            TriggerOutputs::default()
+        } else {
+            self.xunit.evaluate(&signals)
+        };
 
         // 4. Message generation.
-        for o in &mut self.observers {
-            o.begin_cycle(&signals, ts);
+        if !signals.is_empty() {
+            for o in &mut self.observers {
+                o.begin_cycle(&signals, ts);
+            }
         }
         for event in events {
             match event {
@@ -515,6 +568,9 @@ impl Mcds {
 
         // 5. Move observer output through the FIFOs.
         for i in 0..self.observers.len() {
+            if !self.observers[i].has_output() {
+                continue;
+            }
             let msgs = self.observers[i].take_output();
             self.generated += msgs.len() as u64;
             for m in msgs {
@@ -524,15 +580,16 @@ impl Mcds {
                 }
             }
         }
-        let bus_msgs = std::mem::take(&mut self.scratch);
-        self.generated += bus_msgs.len() as u64;
-        for m in bus_msgs {
+        self.generated += self.scratch.len() as u64;
+        for m in self.scratch.drain(..) {
             self.sorter.push(m);
         }
 
         // 6. Drain the sink at its bandwidth. (Period 1 — every cycle —
         // short-circuits the u64 division out of the hot path.)
-        if self.config.sink_drain_period == 1 || cycle.is_multiple_of(self.config.sink_drain_period)
+        if self.sorter.backlog() > 0
+            && (self.config.sink_drain_period == 1
+                || cycle.is_multiple_of(self.config.sink_drain_period))
         {
             self.sorter.drain_cycle(&mut self.sink);
         }
@@ -699,6 +756,39 @@ mod tests {
         assert_eq!(flow.len(), 1 + 20 * 3);
         assert_eq!(flow[0].pc, 0x8000_0000);
         assert_eq!(flow.last().unwrap().pc, 0x8000_000C);
+    }
+
+    #[test]
+    fn advance_quiet_drains_like_empty_cycles() {
+        // A traced burst leaves a backlog; the quiet cycles after it drain
+        // `sink_bandwidth` messages on every `sink_drain_period`-th cycle.
+        let mut soc = SocBuilder::new().cores(1).build();
+        soc.load_program(&counting_program());
+        let mut records = Vec::new();
+        for _ in 0..120 {
+            let (cycle, events) = soc.step_events();
+            records.push((cycle, events.to_vec()));
+        }
+        let config = McdsConfig {
+            sink_bandwidth: 1,
+            sink_drain_period: 40,
+            history_mode: false,
+            ..always_cfg(1)
+        };
+        let (mut stepped, mut quiet) = (Mcds::new(config.clone()), Mcds::new(config));
+        for (cycle, events) in &records {
+            stepped.on_cycle(*cycle, events);
+            quiet.on_cycle(*cycle, events);
+        }
+        assert!(quiet.stats().backlog > 2, "a backlog to drain");
+        for (from, to) in [(120, 121), (121, 165), (165, 165), (165, 400)] {
+            for cycle in from..to {
+                stepped.on_cycle(cycle, &[]);
+            }
+            quiet.advance_quiet(from, to);
+            assert_eq!(quiet.take_messages(), stepped.take_messages());
+            assert_eq!(quiet.save_state(), stepped.save_state());
+        }
     }
 
     #[test]

@@ -337,6 +337,11 @@ impl CoreObserver {
         self.synced = false;
     }
 
+    /// True if messages were generated this cycle.
+    pub fn has_output(&self) -> bool {
+        !self.out.is_empty()
+    }
+
     /// Drains the messages generated this cycle.
     pub fn take_output(&mut self) -> Vec<TimedMessage> {
         std::mem::take(&mut self.out)

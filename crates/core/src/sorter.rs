@@ -193,28 +193,30 @@ impl MessageSorter {
     /// Drains up to the configured bandwidth into `out` in timestamp order.
     /// Returns the number of messages emitted.
     pub fn drain_cycle(&mut self, out: &mut Vec<TimedMessage>) -> usize {
-        let mut n = 0;
-        while n < self.bandwidth {
+        self.drain_up_to(self.bandwidth, out)
+    }
+
+    /// Drains the next `n` messages (or all, if fewer wait) in timestamp
+    /// order, ignoring the per-cycle bandwidth: what consecutive drain
+    /// cycles with no pushes in between emit. Returns the number emitted.
+    pub fn drain_up_to(&mut self, n: usize, out: &mut Vec<TimedMessage>) -> usize {
+        let mut emitted = 0;
+        while emitted < n {
             match self.pop_min() {
                 Some(m) => {
                     out.push(m);
-                    n += 1;
+                    emitted += 1;
                 }
                 None => break,
             }
         }
-        n
+        emitted
     }
 
     /// Drains everything (end of session / explicit flush), ignoring the
     /// per-cycle bandwidth.
     pub fn drain_all(&mut self, out: &mut Vec<TimedMessage>) -> usize {
-        let mut n = 0;
-        while let Some(m) = self.pop_min() {
-            out.push(m);
-            n += 1;
-        }
-        n
+        self.drain_up_to(usize::MAX, out)
     }
 
     /// Messages currently waiting across all FIFOs.

@@ -13,7 +13,6 @@
 
 use mcds_soc::bus::AddrRange;
 use mcds_soc::event::{CoreId, MemAccessInfo, RetireEvent};
-use std::collections::HashSet;
 
 /// Maximum program comparators per core ("compact but effective").
 pub const PROG_COMPARATORS_PER_CORE: usize = 4;
@@ -146,10 +145,22 @@ pub enum SignalRef {
 }
 
 /// The set of signals asserted in one cycle.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A cycle asserts a handful of signals at most, so the set is a small
+/// vector in assertion order: building, probing and dropping it costs no
+/// hashing, and an empty set no allocation.
+#[derive(Debug, Clone, Default)]
 pub struct SignalSet {
-    asserted: HashSet<SignalRef>,
+    asserted: Vec<SignalRef>,
 }
+
+impl PartialEq for SignalSet {
+    fn eq(&self, other: &SignalSet) -> bool {
+        self.len() == other.len() && self.iter().all(|s| other.is_asserted(*s))
+    }
+}
+
+impl Eq for SignalSet {}
 
 impl SignalSet {
     /// An empty set.
@@ -159,7 +170,9 @@ impl SignalSet {
 
     /// Asserts a signal.
     pub fn assert_signal(&mut self, s: SignalRef) {
-        self.asserted.insert(s);
+        if !self.is_asserted(s) {
+            self.asserted.push(s);
+        }
     }
 
     /// True if `s` is asserted.
@@ -182,7 +195,7 @@ impl SignalSet {
         self.asserted.is_empty()
     }
 
-    /// Iterates over asserted signals.
+    /// Iterates over asserted signals, in assertion order.
     pub fn iter(&self) -> impl Iterator<Item = &SignalRef> {
         self.asserted.iter()
     }

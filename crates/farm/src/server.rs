@@ -328,6 +328,17 @@ fn device_err(e: impl std::fmt::Display) -> RpcError {
     RpcError::new(ERR_DEVICE, e.to_string())
 }
 
+/// The `trace_hash` of a `trace.pull` reply: FNV-1a over the `Debug`
+/// form of the reconstructed flow followed by the data log, streamed
+/// through [`mcds_replay::Fnv1aWriter`] instead of formatting a
+/// multi-megabyte string first.
+fn trace_digest(outcome: &mcds_host::TraceOutcome) -> u64 {
+    use std::fmt::Write;
+    let mut w = mcds_replay::Fnv1aWriter::new();
+    write!(w, "{:?}{:?}", outcome.flow, outcome.data_log).expect("hashing cannot fail");
+    w.finish()
+}
+
 fn stop_value(stop: Option<mcds_host::StopEvent>) -> Value {
     match stop {
         None => Value::Null,
@@ -576,9 +587,7 @@ fn dispatch(method: &str, params: &Value, corr: u64, shared: &Shared) -> Result<
         "trace.pull" => {
             let id = proto::p_u64(params, "session")?;
             let outcome = with_session(farm, id, |s| s.pull_trace().map_err(device_err))?;
-            let digest = mcds_replay::fnv1a64(
-                format!("{:?}{:?}", outcome.flow, outcome.data_log).as_bytes(),
-            );
+            let digest = trace_digest(&outcome);
             Ok(obj(vec![
                 ("messages", vint(outcome.messages.len() as u64)),
                 ("flow", vint(outcome.flow.len() as u64)),
@@ -659,5 +668,27 @@ fn dispatch(method: &str, params: &Value, corr: u64, shared: &Shared) -> Result<
             ERR_METHOD_NOT_FOUND,
             format!("unknown method `{method}`"),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::device_spec;
+
+    #[test]
+    fn streamed_trace_digest_matches_the_formatted_one() {
+        let w = Workload::Gearbox;
+        let mut dev = device_spec(w, true).build();
+        dev.soc_mut().load_program(&w.program());
+        let mut s = Session::attach(dev, FarmConfig::default().iface, &w.program(), None)
+            .expect("session attaches");
+        s.run(200_000);
+        let outcome = s.pull_trace().expect("trace pulls");
+        assert!(!outcome.flow.is_empty(), "the pull reconstructs a flow");
+        assert_eq!(
+            trace_digest(&outcome),
+            mcds_replay::fnv1a64(format!("{:?}{:?}", outcome.flow, outcome.data_log).as_bytes())
+        );
     }
 }

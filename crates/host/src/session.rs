@@ -401,7 +401,7 @@ pub fn drain_residual_trace(dev: &mut Device) {
     let residual = dev.mcds_mut().take_messages();
     if !residual.is_empty() {
         let (soc, sink) = dev.soc_sink_mut();
-        if let Some(emem) = soc.mapper_mut().emem_mut() {
+        if let Some(emem) = soc.emem_segments_mut(sink.segments()) {
             sink.store(&residual, emem);
         }
     }

@@ -180,12 +180,8 @@ impl TimeTravel {
                 base: self.base.cycle(),
             });
         }
-        let cp = self
-            .ring
-            .nearest_at_or_before(target)
-            .unwrap_or(&self.base)
-            .clone();
-        self.restore(&cp);
+        let cp = self.ring.nearest_at_or_before(target).unwrap_or(&self.base);
+        self.next_event = restore(&mut self.dev, &self.log, cp);
         self.replay_to(target, false, &mut NullSink);
         Ok(())
     }
@@ -211,9 +207,8 @@ impl TimeTravel {
         let cp = self
             .ring
             .nearest_with_retired_at_most(idx, target)
-            .unwrap_or(&self.base)
-            .clone();
-        self.restore(&cp);
+            .unwrap_or(&self.base);
+        self.next_event = restore(&mut self.dev, &self.log, cp);
         // Re-execute until the core has retired exactly `target`
         // instructions, then halt it at that boundary: `break_pending` is
         // consumed at the next FetchIssue phase, before any further
@@ -245,11 +240,6 @@ impl TimeTravel {
         Ok(dev.soc().core(core).pc())
     }
 
-    fn restore(&mut self, cp: &Checkpoint) {
-        cp.restore_into(&mut self.dev);
-        self.next_event = Replayer::resume_at(&self.log, cp.cycle()).position();
-    }
-
     /// Replays the log forward to `target` cycles from the cursor, through
     /// the replay layer's one driver; `checkpoint` feeds the ring (a
     /// re-execution after a restore does not — the existing checkpoints
@@ -260,6 +250,14 @@ impl TimeTravel {
         run_with_events_into(&mut self.dev, &mut rep, target, ring, sink);
         self.next_event = rep.position();
     }
+}
+
+/// Restores `cp` onto `dev` in place (the checkpoint is not copied) and
+/// returns the position in `log` of the first input event at or after the
+/// checkpoint's cycle.
+fn restore(dev: &mut Device, log: &InputLog, cp: &Checkpoint) -> usize {
+    cp.restore_into(dev);
+    Replayer::resume_at(log, cp.cycle()).position()
 }
 
 #[cfg(test)]

@@ -26,12 +26,12 @@ use crate::trace_sink::{FullPolicy, SinkState, TraceSink};
 use mcds::{Mcds, McdsConfig, McdsState, McdsStats};
 use mcds_soc::bus::{BusCounters, BusFault, BusRequest, XferKind};
 use mcds_soc::cpu::CoreConfig;
-use mcds_soc::event::{CoreId, CycleRecord};
+use mcds_soc::event::{CoreId, CycleRecord, SocEvent};
 use mcds_soc::isa::{MemWidth, Reg};
 use mcds_soc::mem::SegmentRole;
-use mcds_soc::sink::{Collect, CycleSink, NullSink};
+use mcds_soc::sink::{Collect, CycleSink, FanOut, NullSink};
 use mcds_soc::soc::{memmap, Soc, SocBuilder, SocState};
-use mcds_soc::HaltStop;
+use mcds_soc::{ExecMode, HaltStop};
 use mcds_telemetry::{Subsystem, Telemetry};
 use std::collections::HashMap;
 use std::fmt;
@@ -556,6 +556,37 @@ impl DeviceBuilder {
     }
 }
 
+/// The adapter sink of an observe-only device's batched stretch: it hands
+/// the MCDS each delivered cycle's core events at their exact cycle, and
+/// the sink drains of the event-free cycles in between in closed form
+/// ([`Mcds::advance_quiet`]). Drained messages stay in the MCDS until the
+/// stretch ends and the device stores them; the kernel keeps emulation-RAM
+/// accesses out of the blocks of any sink that does not
+/// [discard](CycleSink::discards), which this one does only while the
+/// MCDS is idle (then the kernel runs its unobserved blocks).
+struct McdsFeed<'a> {
+    mcds: &'a mut Mcds,
+    /// The first cycle the MCDS has not seen yet.
+    next: u64,
+}
+
+impl CycleSink for McdsFeed<'_> {
+    fn observe(&mut self, cycle: u64, events: &[SocEvent]) {
+        self.mcds.advance_quiet(self.next, cycle);
+        let outputs = self.mcds.on_cycle(cycle, events);
+        debug_assert!(outputs.is_empty(), "an observe-only MCDS never triggers");
+        self.next = cycle + 1;
+    }
+
+    fn wants_cycles(&self) -> bool {
+        false
+    }
+
+    fn discards(&self) -> bool {
+        self.mcds.is_idle()
+    }
+}
+
 /// A stable per-link code used to key serialized fault-injector state
 /// deterministically (`Jtag = 0`, `Usb11 = 1`, `Can = 2`).
 fn kind_code(kind: InterfaceKind) -> u8 {
@@ -827,7 +858,9 @@ impl Device {
     ///
     /// Delivery order within the cycle: MCDS, then service-core monitors,
     /// then `sink` (so a sink observes a cycle only after the device's own
-    /// observers have).
+    /// observers have). On an untraced device (idle MCDS, idle or absent
+    /// service core) all of that is a provable no-op, and the cycle is the
+    /// bare [`Soc::step_into`].
     pub fn step_into<S: CycleSink + ?Sized>(&mut self, sink: &mut S) {
         // Split borrow: soc (scratch events), mcds and service are
         // disjoint fields, so the borrowed event slice can feed all
@@ -835,6 +868,12 @@ impl Device {
         let Device {
             soc, mcds, service, ..
         } = self;
+        // An idle MCDS and service core do nothing on any cycle (neither
+        // can become busy inside it): the cycle is the bare SoC step.
+        if mcds.is_idle() && service.as_ref().is_none_or(ServiceProcessor::is_idle) {
+            soc.step_into(sink);
+            return;
+        }
         let (cycle, events) = soc.step_events();
         let outputs = mcds.on_cycle(cycle, events);
         if let Some(s) = service.as_mut() {
@@ -853,27 +892,39 @@ impl Device {
         for pin in outputs.trigger_out_pins {
             self.trigger_out_log.push((cycle, pin));
         }
+        self.store_trace(cycle, cycle);
+    }
+
+    /// Stores the messages the MCDS has drained into the trace segments
+    /// (counting them dropped without emulation RAM) through
+    /// [`Soc::emem_segments_mut`], which leaves the kernel's decode cache
+    /// alone unless an overlay maps code onto trace memory. `first..=last`
+    /// are the cycles the messages were drained on (the telemetry span).
+    fn store_trace(&mut self, first: u64, last: u64) {
         let messages = self.mcds.take_messages();
-        if !messages.is_empty() {
-            let span_t0 = self.telemetry.as_ref().map(|_| Instant::now());
-            match self.soc.mapper_mut().emem_mut() {
-                Some(_) => {
-                    // Split borrow: sink and emem are disjoint fields.
-                    let Device { soc, sink, .. } = self;
-                    let emem = soc.mapper_mut().emem_mut().expect("checked above");
-                    let stored = sink.store(&messages, emem);
-                    self.sink_dropped += (messages.len() - stored) as u64;
-                }
-                None => self.sink_dropped += messages.len() as u64,
-            }
-            if let (Some(t0), Some(tel)) = (span_t0, self.telemetry.as_ref()) {
-                tel.handle.span(
-                    Subsystem::TraceEncode,
-                    cycle,
-                    cycle,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
+        if messages.is_empty() {
+            return;
+        }
+        let span_t0 = self.telemetry.as_ref().map(|_| Instant::now());
+        // Split borrow: soc, sink and the drop count are disjoint fields.
+        let Device {
+            soc,
+            sink,
+            sink_dropped,
+            ..
+        } = self;
+        let stored = match soc.emem_segments_mut(sink.segments()) {
+            Some(emem) => sink.store(&messages, emem),
+            None => 0,
+        };
+        *sink_dropped += (messages.len() - stored) as u64;
+        if let (Some(t0), Some(tel)) = (span_t0, self.telemetry.as_ref()) {
+            tel.handle.span(
+                Subsystem::TraceEncode,
+                first,
+                last,
+                t0.elapsed().as_nanos() as u64,
+            );
         }
     }
 
@@ -889,38 +940,88 @@ impl Device {
             .expect("step_into observes exactly one cycle")
     }
 
-    /// True when every per-cycle device-layer action is provably a no-op:
-    /// the MCDS is idle ([`mcds::Mcds::is_idle`]) and so is the service
-    /// core ([`ServiceProcessor::is_idle`]). Neither can change inside a
-    /// run, so while this holds a run may go through the SoC execution
-    /// kernel, which batches and skips as far as the sink's
-    /// [`CycleSink::wants_cycles`] contract allows.
-    fn is_idle(&self) -> bool {
-        self.mcds.is_idle() && self.service.as_ref().is_none_or(ServiceProcessor::is_idle)
+    /// True when a run may feed the MCDS events instead of cycles: the
+    /// MCDS is observe-only ([`mcds::Mcds::is_observe_only`]; an idle MCDS,
+    /// [`mcds::Mcds::is_idle`], is too), the service core idle
+    /// ([`ServiceProcessor::is_idle`]), the sink content with the core
+    /// events of batched cycles and the kernel in
+    /// [`ExecMode::BlockBatched`]. None of these can change inside a run.
+    fn observes_events_only<S: CycleSink + ?Sized>(&self, sink: &S) -> bool {
+        self.mcds.is_observe_only()
+            && self.service.as_ref().is_none_or(ServiceProcessor::is_idle)
+            && !sink.wants_cycles()
+            && self.soc.exec_mode() == ExecMode::BlockBatched
     }
 
     /// The single device run loop: advances up to `max_cycles` or, with a
     /// `stop`, until the halted cores satisfy it (on the exact cycle, in
-    /// either path), streaming observed cycles into `sink`. Returns the
-    /// cycles consumed. An idle device runs through
-    /// [`mcds_soc::soc::Soc::run_kernel`]; otherwise every cycle is a
-    /// [`Device::step_into`].
+    /// every path), streaming observed cycles into `sink`. Returns the
+    /// cycles consumed.
+    ///
+    /// A device whose MCDS only observes ([`mcds::Mcds::is_observe_only`],
+    /// as an untraced device's idle MCDS does too; service core idle,
+    /// sink content with events, kernel batching) alternates batched
+    /// stretches with exact steps. Each stretch runs
+    /// [`mcds_soc::soc::Soc::run_batched`] and hands the MCDS every cycle
+    /// with core events at its exact cycle plus the closed-form drains of
+    /// the cycles between ([`mcds::Mcds::advance_quiet`]), then stores the
+    /// drained messages; every cycle the kernel would step is a full
+    /// [`Device::step_into`]. Trace memory is bus-readable, so a stretch
+    /// never lets a bus master read it before the store: data accesses
+    /// into the emulation-RAM and overlay-control windows end the blocks,
+    /// and no stretch runs while an overlay maps code onto the trace
+    /// segments. An idle MCDS makes the stretch the plain kernel run: no
+    /// events are kept, nothing is fenced, nothing drains and overlays do
+    /// not matter. Otherwise every cycle is a [`Device::step_into`].
     pub fn run_into<S: CycleSink + ?Sized>(
         &mut self,
         max_cycles: u64,
         stop: Option<HaltStop>,
         sink: &mut S,
     ) -> u64 {
-        if self.is_idle() {
-            return self.soc.run_kernel(max_cycles, stop, sink);
-        }
-        for stepped in 1..=max_cycles {
+        let start = self.soc.cycle();
+        let target = start.saturating_add(max_cycles);
+        let stopped = |soc: &Soc| stop.is_some_and(|s| s.reached(soc));
+        // Like the kernel, a run entered already stopped still steps once.
+        let batch = self.observes_events_only(sink) && !stopped(&self.soc);
+        while self.soc.cycle() < target {
+            if batch {
+                self.run_stretch(target, stop, sink);
+                if self.soc.cycle() >= target || stopped(&self.soc) {
+                    break;
+                }
+            }
             self.step_into(sink);
-            if stop.is_some_and(|s| s.reached(&self.soc)) {
-                return stepped;
+            if stopped(&self.soc) {
+                break;
             }
         }
-        max_cycles
+        self.soc.cycle() - start
+    }
+
+    /// One batched stretch of an observe-only device (see
+    /// [`Device::run_into`]): runs the kernel until it needs an exact step,
+    /// feeding the MCDS through [`McdsFeed`], then stores what drained.
+    fn run_stretch<S: CycleSink + ?Sized>(
+        &mut self,
+        target: u64,
+        stop: Option<HaltStop>,
+        sink: &mut S,
+    ) {
+        // Code read from trace memory would fetch bytes the stretch stores
+        // only at its end (an idle MCDS stores nothing).
+        if !self.mcds.is_idle() && self.soc.mapper().maps_onto(self.sink.segments()) {
+            return;
+        }
+        let Device { soc, mcds, .. } = self;
+        let start = soc.cycle();
+        let mut feed = McdsFeed { mcds, next: start };
+        soc.run_batched(target, stop, &mut FanOut::new(&mut feed, &mut *sink));
+        let end = soc.cycle();
+        feed.mcds.advance_quiet(feed.next, end);
+        if end > start {
+            self.store_trace(start, end - 1);
+        }
     }
 
     /// Steps `n` cycles, discarding events (streams into [`NullSink`]; no

@@ -118,6 +118,11 @@ impl TraceSink {
         self.encoder.sync_interval()
     }
 
+    /// The emulation-RAM segments the sink writes (empty when discarding).
+    pub fn segments(&self) -> &[usize] {
+        &self.segments
+    }
+
     /// Capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -4,17 +4,23 @@
 //! replaying from reset.
 
 use crate::snapshot::SocSnapshot;
-use mcds_psi::Device;
+use mcds_psi::{Device, DeviceState};
 use std::collections::VecDeque;
 
 /// One checkpoint: a snapshot plus the per-core retired-instruction
 /// counts at capture time (used by `reverse_step` to pick the checkpoint
 /// that precedes a target instruction).
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     cycle: u64,
     retired: Vec<u64>,
     snapshot: SocSnapshot,
+    /// The snapshot's device state, kept parsed: a seek restores it
+    /// without parsing the snapshot's JSON, which costs more than copying
+    /// the memory images.
+    state: DeviceState,
+    /// The flash generation at capture ([`mcds_soc::mem::Flash::generation`]).
+    flash_generation: u64,
 }
 
 impl Checkpoint {
@@ -23,10 +29,13 @@ impl Checkpoint {
         let retired = (0..dev.soc().core_count())
             .map(|i| dev.soc().core(mcds_soc::event::CoreId(i as u8)).retired())
             .collect();
+        let (snapshot, state) = SocSnapshot::capture_state(dev);
         Checkpoint {
             cycle: dev.soc().cycle(),
             retired,
-            snapshot: SocSnapshot::capture(dev),
+            snapshot,
+            state,
+            flash_generation: dev.soc().mapper().flash().generation(),
         }
     }
 
@@ -45,9 +54,13 @@ impl Checkpoint {
         &self.snapshot
     }
 
-    /// Restores the checkpoint onto a structurally identical device.
+    /// Restores the checkpoint onto a structurally identical device. A
+    /// flash still at the captured generation (the usual case: time travel
+    /// on the device the checkpoint came from, flash not reprogrammed
+    /// since) already holds the captured image and is not rewritten.
     pub fn restore_into(&self, dev: &mut Device) {
-        self.snapshot.restore_into(dev);
+        let flash = dev.soc().mapper().flash().generation() != self.flash_generation;
+        self.snapshot.restore_with(dev, Some(&self.state), flash);
     }
 }
 
@@ -256,5 +269,56 @@ mod telemetry_tests {
             Some(1),
             "restore span counter present"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device_state_hash;
+    use mcds_psi::device::{DeviceBuilder, DeviceVariant};
+    use mcds_soc::asm::assemble;
+
+    fn counting_device() -> Device {
+        let mut dev = DeviceBuilder::new(DeviceVariant::EdSideBooster)
+            .cores(1)
+            .build();
+        dev.soc_mut().load_program(
+            &assemble(".org 0x80000000\nloop:\naddi r1, r1, 1\nj loop").expect("assembles"),
+        );
+        dev
+    }
+
+    #[test]
+    fn restore_rewrites_flash_only_after_it_changed() {
+        let mut dev = counting_device();
+        dev.run_cycles(1_000);
+        let cp = Checkpoint::capture(&dev);
+        let want = device_state_hash(&dev);
+
+        // Unchanged flash: the restore leaves it (and its generation) alone.
+        dev.run_cycles(1_000);
+        let generation = dev.soc().mapper().flash().generation();
+        cp.restore_into(&mut dev);
+        assert_eq!(dev.soc().mapper().flash().generation(), generation);
+        assert_eq!(device_state_hash(&dev), want);
+
+        // Reprogrammed flash: the restore writes the captured image back.
+        dev.soc_mut()
+            .mapper_mut()
+            .flash_mut()
+            .program(0x100, &[0xAB; 16]);
+        cp.restore_into(&mut dev);
+        assert_eq!(device_state_hash(&dev), want);
+
+        // A different device never shares a generation.
+        let mut other = counting_device();
+        other
+            .soc_mut()
+            .mapper_mut()
+            .flash_mut()
+            .program(0x100, &[0xCD; 16]);
+        cp.restore_into(&mut other);
+        assert_eq!(device_state_hash(&other), want);
     }
 }

@@ -5,6 +5,7 @@
 //! these hashes detect divergence, they are not cryptographic.
 
 use mcds_psi::Device;
+use std::fmt;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -24,6 +25,38 @@ pub fn extend_fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// A [`fmt::Write`] sink that folds everything written into a running
+/// FNV-1a hash: `write!(w, ...)` then [`Fnv1aWriter::finish`] equals
+/// [`fnv1a64`] of what `format!(...)` returns, without building the
+/// string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1aWriter(u64);
+
+impl Fnv1aWriter {
+    /// A writer over the empty input.
+    pub fn new() -> Fnv1aWriter {
+        Fnv1aWriter(FNV_OFFSET)
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1aWriter {
+    fn default() -> Fnv1aWriter {
+        Fnv1aWriter::new()
+    }
+}
+
+impl fmt::Write for Fnv1aWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = extend_fnv1a64(self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The snapshot hash fold: a cycle, then each part's name and content
@@ -71,6 +104,19 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn writer_hashes_what_format_would_build() {
+        use std::fmt::Write;
+        let value = (vec![1u32, 20, 300], Some("x"), [0.5f64; 2]);
+        let mut w = Fnv1aWriter::new();
+        write!(w, "{value:?}{:?}", value.0).unwrap();
+        assert_eq!(
+            w.finish(),
+            fnv1a64(format!("{value:?}{:?}", value.0).as_bytes())
+        );
+        assert_eq!(Fnv1aWriter::default().finish(), fnv1a64(b""));
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod snapshot;
 
 pub use checkpoint::{Checkpoint, CheckpointRing};
 pub use fleet::{fleet_state_hash, FleetSnapshot, FLEET_SNAPSHOT_VERSION};
-pub use hash::{device_state_hash, extend_fnv1a64, fnv1a64, trace_bytes};
+pub use hash::{device_state_hash, extend_fnv1a64, fnv1a64, trace_bytes, Fnv1aWriter};
 pub use log::{run_with_events, run_with_events_into, InputEvent, InputLog, Replayer};
 pub use repro::{ReproArtifact, ReproError, REPRO_VERSION};
 pub use snapshot::{write_json_atomic, Component, SnapshotIoError, SocSnapshot, SNAPSHOT_VERSION};

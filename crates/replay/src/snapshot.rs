@@ -43,9 +43,13 @@ const MEMORIES: [(&str, MemoryId); 3] = [
 /// Visits the device's snapshot components in canonical order — the
 /// serialized `device/state`, then each fitted memory, borrowed — handing
 /// each name and its bytes to `visit`.
-pub(crate) fn walk(dev: &Device, mut visit: impl FnMut(&'static str, &[u8])) {
-    let state =
-        serde_json::to_string(&dev.save_state()).expect("device state serializes infallibly");
+pub(crate) fn walk(dev: &Device, visit: impl FnMut(&'static str, &[u8])) {
+    walk_with(dev, &dev.save_state(), visit);
+}
+
+/// [`walk`] with the device's state already saved as `state`.
+fn walk_with(dev: &Device, state: &DeviceState, mut visit: impl FnMut(&'static str, &[u8])) {
+    let state = serde_json::to_string(state).expect("device state serializes infallibly");
     visit(DEVICE_STATE, state.as_bytes());
     for (name, id) in MEMORIES {
         if let Some(image) = dev.soc().memory_image(id) {
@@ -341,9 +345,16 @@ impl SocSnapshot {
     /// Captures a snapshot of the device: a copy of every component the
     /// device walk yields.
     pub fn capture(dev: &Device) -> SocSnapshot {
+        SocSnapshot::capture_state(dev).0
+    }
+
+    /// [`SocSnapshot::capture`], also returning the device state the
+    /// snapshot serializes (a checkpoint keeps it parsed, saved once).
+    pub(crate) fn capture_state(dev: &Device) -> (SocSnapshot, DeviceState) {
         let span_t0 = dev.telemetry().map(|_| std::time::Instant::now());
+        let state = dev.save_state();
         let mut components = Vec::with_capacity(1 + MEMORIES.len());
-        walk(dev, |name, bytes| {
+        walk_with(dev, &state, |name, bytes| {
             components.push(Component::new(name, bytes.to_vec()))
         });
         let cycle = dev.soc().cycle();
@@ -355,11 +366,12 @@ impl SocSnapshot {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        SocSnapshot {
+        let snapshot = SocSnapshot {
             version: SNAPSHOT_VERSION,
             cycle,
             components,
-        }
+        };
+        (snapshot, state)
     }
 
     /// Format version of this snapshot.
@@ -421,6 +433,14 @@ impl SocSnapshot {
     /// [`SocSnapshot::check_fits`] turns the memory-size cases into a
     /// typed error first.
     pub fn restore_into(&self, dev: &mut Device) {
+        self.restore_with(dev, None, true);
+    }
+
+    /// [`SocSnapshot::restore_into`], taking the device state from
+    /// `parsed` (this snapshot's device-state component, already parsed)
+    /// instead of parsing the component's JSON, and leaving the flash
+    /// alone unless `flash`.
+    pub(crate) fn restore_with(&self, dev: &mut Device, parsed: Option<&DeviceState>, flash: bool) {
         assert_eq!(
             self.version, SNAPSHOT_VERSION,
             "unsupported snapshot version"
@@ -429,16 +449,25 @@ impl SocSnapshot {
         // span) survives the restore itself.
         let span_t0 = dev.telemetry().map(|_| std::time::Instant::now());
         for (name, id) in MEMORIES {
+            if id == MemoryId::Flash && !flash {
+                continue;
+            }
             if let Some(c) = self.component(name) {
                 dev.soc_mut().restore_memory_image(id, &c.bytes);
             }
         }
-        let c = self
-            .component(DEVICE_STATE)
-            .expect("snapshot has a device/state component");
-        let json = std::str::from_utf8(&c.bytes).expect("device state is UTF-8 JSON");
-        let state: DeviceState = serde_json::from_str(json).expect("device state deserializes");
-        dev.restore_state(&state);
+        match parsed {
+            Some(state) => dev.restore_state(state),
+            None => {
+                let c = self
+                    .component(DEVICE_STATE)
+                    .expect("snapshot has a device/state component");
+                let json = std::str::from_utf8(&c.bytes).expect("device state is UTF-8 JSON");
+                let state: DeviceState =
+                    serde_json::from_str(json).expect("device state deserializes");
+                dev.restore_state(&state);
+            }
+        }
         if let (Some(t0), Some(tel)) = (span_t0, dev.telemetry()) {
             tel.span(
                 mcds_telemetry::Subsystem::Restore,

@@ -30,6 +30,19 @@
 //!    request is granted exactly as the arbiter would, and each core
 //!    follows the same closed form between its requests.
 //!
+//! Blocks deliver events, not cycles: each instruction's retire and halt
+//! events go to the run's sink at their exact cycle — one
+//! [`CycleSink::observe`] per cycle that has any, same-cycle lanes in core
+//! order, right after the block — so an observer that only needs those
+//! events (the PSI device's observe-only MCDS) rides the batched tiers
+//! too. Bus-tap records and event-free cycles are not delivered. For a
+//! [`CycleSink::discards`] sink ([`crate::sink::NullSink`]) the blocks
+//! keep no events at all; for any other, a data access into emulation RAM
+//! or the overlay-control window ends the block, since that sink may write
+//! trace memory only after the run. [`crate::soc::Soc::run_batched`] runs the two
+//! tiers alone and hands every exact step back to its caller, which is
+//! how a traced device keeps its own full per-cycle step.
+//!
 //! Both tiers are exact: the architectural state ([`crate::soc::SocState`]
 //! — registers, pipeline phase, bus arbiter including `last_xact`, the
 //! round-robin pointer and the wait/contention counters, peripheral
@@ -46,7 +59,9 @@
 //! round-trips are unaffected by it. The cache is
 //! invalidated by a code-generation bump on every path that can change
 //! what a fetch returns: backdoor writes and flash programming
-//! ([`crate::soc::Soc::mapper_mut`] is conservatively invalidating),
+//! ([`crate::soc::Soc::mapper_mut`] is conservatively invalidating; trace
+//! stores through [`crate::soc::Soc::emem_segments_mut`] invalidate only
+//! when an overlay maps the flash window onto the written segments),
 //! overlay reconfiguration and calibration-page swaps (both backdoor and
 //! in-band via the overlay control window), and completed bus writes into
 //! any mapper-owned window (self-modifying code, DMA into emulation RAM,
@@ -237,9 +252,10 @@ struct Merge {
     last_done: Option<u64>,
     /// Instructions retired or stopped at.
     instrs: u64,
-    /// The cores' retire/halt events, discarded as produced (merged
-    /// blocks only run under a non-observing sink).
+    /// The current cycle's retire/halt events.
     events: Vec<SocEvent>,
+    /// The run's sink observes the block (see [`Soc::run_batched`]).
+    observed: bool,
 }
 
 impl Merge {
@@ -265,10 +281,46 @@ impl Merge {
 
     /// Lane `i` stopped at cycle `t`: the block ends after that cycle.
     fn stop(&mut self, i: usize, t: u64) {
-        self.events.clear();
         self.lanes[i] = Lane::Off;
         self.end = self.end.min(t + 1);
         self.instrs += 1;
+    }
+}
+
+/// The core events of the latest batched block, by cycle. The executors
+/// are not generic over the sink (so generic, they would be compiled in the
+/// caller's crate and lose the inlining of their helpers), so they log the
+/// events and [`crate::soc::Soc::run_batched`] hands them to the sink.
+#[derive(Debug, Default)]
+struct EventLog {
+    /// Every logged event, in order.
+    events: Vec<SocEvent>,
+    /// Each logged cycle with the end of its events in `events`.
+    cycles: Vec<(u64, usize)>,
+}
+
+impl EventLog {
+    /// Moves `events`, the core events of `cycle`, into the log. Kept out
+    /// of line so the executors' untraced hot loops stay as small (and as
+    /// inlined) as without a log.
+    #[inline(never)]
+    fn record(&mut self, cycle: u64, events: &mut Vec<SocEvent>) {
+        if !events.is_empty() {
+            self.events.append(events);
+            self.cycles.push((cycle, self.events.len()));
+        }
+    }
+
+    /// Delivers the logged cycles to `sink`, one `observe` each, and
+    /// empties the log.
+    fn deliver<S: CycleSink + ?Sized>(&mut self, sink: &mut S) {
+        let mut start = 0;
+        for &(cycle, end) in &self.cycles {
+            sink.observe(cycle, &self.events[start..end]);
+            start = end;
+        }
+        self.events.clear();
+        self.cycles.clear();
     }
 }
 
@@ -305,6 +357,9 @@ pub(crate) struct ExecState {
     cache: Option<Box<[DecodeSlot]>>,
     /// Reused lane buffer of the merged executor (empty between blocks).
     lanes: Vec<Lane>,
+    /// The latest block's core events, until delivered (empty between
+    /// blocks).
+    log: EventLog,
 }
 
 impl ExecState {
@@ -317,6 +372,7 @@ impl ExecState {
             code_windows,
             cache: None,
             lanes: Vec::new(),
+            log: EventLog::default(),
         }
     }
 
@@ -329,6 +385,15 @@ impl ExecState {
     /// (it lands in a mapper-owned window).
     pub(crate) fn watches_writes_to(&self, addr: Addr) -> bool {
         self.code_windows.iter().any(|w| w.contains(addr))
+    }
+
+    /// True if `addr` lies in a mapper-owned window other than flash: the
+    /// emulation RAM (trace memory is read there) or the overlay control
+    /// registers (which can map the flash window onto trace memory). Out
+    /// of line, like [`EventLog::record`]: only observed runs call it.
+    #[inline(never)]
+    fn fenced(&self, addr: Addr) -> bool {
+        !self.flash_window.contains(addr) && self.watches_writes_to(addr)
     }
 }
 
@@ -370,13 +435,55 @@ impl Soc {
         let start = self.cycle;
         let target = start.saturating_add(max_cycles);
         let stopped = |soc: &Soc| stop.is_some_and(|s| s.reached(soc));
-        // Observed runs and `PerCycle` take the exact reference step every
-        // cycle. So does a run entered already stopped: the reference
-        // loop checks the stop after stepping, so it still steps once.
+        // Sinks that want every cycle and `PerCycle` take the exact
+        // reference step every cycle. So does a run entered already
+        // stopped: the reference loop checks the stop after stepping, so
+        // it still steps once.
         let exact = sink.wants_cycles() || self.exec.mode == ExecMode::PerCycle || stopped(self);
         while self.cycle < target {
-            let advance = if exact { Advance::Step } else { self.probe() };
-            match advance {
+            if !exact {
+                self.run_batched(target, stop, sink);
+                if self.cycle >= target || stopped(self) {
+                    break;
+                }
+            }
+            // Something is live this cycle (or the block layer could not
+            // make progress): step it exactly.
+            self.step_into(sink);
+            if stopped(self) {
+                break;
+            }
+        }
+        self.cycle - start
+    }
+
+    /// Advances towards cycle `target` by event skips and batched blocks
+    /// only, and returns as soon as the probe picks an exact step (or a
+    /// block cannot make progress), `target` is reached, or `stop` holds.
+    /// The caller takes the step: [`Soc::run_kernel`] with
+    /// [`Soc::step_into`], a traced device with its full per-cycle step.
+    ///
+    /// A sink that does not [discard](CycleSink::discards) its events
+    /// observes the run: batched cycles with core events are delivered to
+    /// it after each block, as the [`CycleSink`] contract for
+    /// non-observing sinks describes, and every data access into the
+    /// emulation-RAM or overlay-control window is left to the caller's
+    /// exact step, so no bus master reads memory the observer writes only
+    /// at the end of the stretch (the device's trace store). For a
+    /// discarding sink the blocks keep no events and fence nothing.
+    /// Under [`ExecMode::PerCycle`] this returns at once.
+    pub fn run_batched<S: CycleSink + ?Sized>(
+        &mut self,
+        target: u64,
+        stop: Option<HaltStop>,
+        sink: &mut S,
+    ) {
+        if self.exec.mode == ExecMode::PerCycle {
+            return;
+        }
+        let observed = !sink.discards();
+        while self.cycle < target {
+            match self.probe() {
                 Advance::Skip(wake) => {
                     // Nothing can change before `wake` (no core can halt
                     // either): jump straight there.
@@ -386,17 +493,15 @@ impl Soc {
                     self.exec.stats.skipped_cycles += skip;
                     continue;
                 }
-                Advance::Block(core) if self.run_block(core, target) => {}
-                Advance::Merge if self.run_merged(target) => {}
-                // Something is live this cycle (or the block layer could
-                // not make progress): step it exactly.
-                _ => self.step_into(sink),
+                Advance::Block(core) if self.run_block(core, target, observed) => {}
+                Advance::Merge if self.run_merged(target, observed) => {}
+                _ => return,
             }
-            if stopped(self) {
-                break;
+            self.exec.log.deliver(sink);
+            if stop.is_some_and(|s| s.reached(self)) {
+                return;
             }
         }
-        self.cycle - start
     }
 
     /// The kernel's one decision point. Step while anything outside the
@@ -469,9 +574,13 @@ impl Soc {
 
     /// True if `req` may be performed inside a batched block: anything but
     /// a non-passive peripheral access (see
-    /// [`crate::periph::PeriphBlock::is_passive`]).
-    fn passive(&self, req: &BusRequest) -> bool {
-        self.bus.target_at(req.addr) != Some(self.periph_id) || self.periph().is_passive(req)
+    /// [`crate::periph::PeriphBlock::is_passive`]) and, in an `observed`
+    /// run, an access into the emulation-RAM or overlay-control window.
+    // Inlined into every executor instantiation, like `merge_grant`.
+    #[inline(always)]
+    fn batchable(&self, req: &BusRequest, observed: bool) -> bool {
+        (self.bus.target_at(req.addr) != Some(self.periph_id) || self.periph().is_passive(req))
+            && !(observed && self.exec.fenced(req.addr))
     }
 
     /// The decode-cache slot for the fetch at `pc` (in the flash window),
@@ -567,7 +676,10 @@ impl Soc {
     /// timer horizon), changes control state (halt, interrupt enable with
     /// a pending line), leaves the flash window, or makes a non-passive
     /// peripheral access. Returns `true` if at least one instruction was
-    /// executed (i.e. time advanced).
+    /// executed (i.e. time advanced). When `observed`, each instruction's
+    /// retire or halt events go to the event log at their cycle, and an
+    /// access into the emulation-RAM or overlay-control window ends the
+    /// block (see [`Soc::run_batched`]).
     ///
     /// Timing closed form per instruction, derived from the phase
     /// machine: the fetch issues at `t0`, is granted at `t0 + 1` and
@@ -582,7 +694,18 @@ impl Soc {
     /// `w_f + 1` cycles. All bus accesses are performed for real at their
     /// exact completion cycles, so peripheral timestamps and counter
     /// state match per-cycle execution bit-for-bit.
-    fn run_block(&mut self, core_idx: usize, target: u64) -> bool {
+    fn run_block(&mut self, core_idx: usize, target: u64, observed: bool) -> bool {
+        // Two instantiations: the unobserved one's hot loop carries no
+        // logging or fencing code at all.
+        if observed {
+            self.block::<true>(core_idx, target)
+        } else {
+            self.block::<false>(core_idx, target)
+        }
+    }
+
+    /// [`Soc::run_block`]'s executor, one per value of `observed`.
+    fn block<const OBSERVED: bool>(&mut self, core_idx: usize, target: u64) -> bool {
         let master = MasterId(core_idx as u8);
         // No instruction may span the timer's next fire: per-cycle
         // execution would mutate timer/IRQ state mid-instruction.
@@ -590,7 +713,9 @@ impl Soc {
         if let Some(fire) = self.periph().timer_wake() {
             horizon = horizon.min(fire);
         }
+        // The scratch buffer still holds the last stepped cycle's events.
         let mut events = std::mem::take(&mut self.scratch);
+        events.clear();
         let mut executed = 0u64;
         loop {
             let now = self.cycle;
@@ -621,7 +746,9 @@ impl Soc {
                     executed += 1;
                     self.exec.stats.block_instrs += 1;
                     self.exec.stats.block_cycles += period;
-                    events.clear();
+                    if OBSERVED {
+                        self.exec.log.record(now + period - 1, &mut events);
+                    }
                     break;
                 }
             };
@@ -640,16 +767,19 @@ impl Soc {
                 executed += 1;
                 self.exec.stats.block_instrs += 1;
                 self.exec.stats.block_cycles += period;
-                events.clear();
+                if OBSERVED {
+                    self.exec.log.record(now + period - 1, &mut events);
+                }
                 break;
             }
             let instr = slot.instr.expect("halt words handled above");
             let extra = u64::from(extra_cycles(instr));
             let mem_req = self.cores[core_idx].data_request(instr);
             // Non-passive peripheral accesses interact with the same
-            // cycle's timer/DMA/trigger/IRQ sampling: leave the whole
+            // cycle's timer/DMA/trigger/IRQ sampling (and observed runs'
+            // must see the deferred trace store): leave the whole
             // instruction to exact per-cycle stepping.
-            if mem_req.is_some_and(|req| !self.passive(&req)) {
+            if mem_req.is_some_and(|req| !self.batchable(&req, OBSERVED)) {
                 break;
             }
             let (w_d32, w_d) = match &mem_req {
@@ -689,9 +819,9 @@ impl Soc {
             executed += 1;
             self.exec.stats.block_instrs += 1;
             self.exec.stats.block_cycles += period;
-            // Retire/halt events are discarded: the block layer only runs
-            // under a non-observing sink, exactly where the per-cycle
-            // loop would discard them too.
+            if OBSERVED {
+                self.exec.log.record(now + period - 1, &mut events);
+            }
             events.clear();
             if halted {
                 break;
@@ -722,13 +852,26 @@ impl Soc {
     /// block ends at `target`, at the timer's next fire, the cycle after
     /// any halt, the cycle a core would fetch outside the flash window or
     /// take an interrupt, or the cycle after a non-passive peripheral
-    /// request is queued — the per-cycle step takes it from there.
-    /// Returns `true` if time advanced.
-    fn run_merged(&mut self, target: u64) -> bool {
+    /// request is queued — the per-cycle step takes it from there. When
+    /// `observed`, each cycle's retire and halt events go to the event
+    /// log, lanes in core order, and an access into the emulation-RAM or
+    /// overlay-control window ends the block once queued. Returns `true`
+    /// if time advanced.
+    fn run_merged(&mut self, target: u64, observed: bool) -> bool {
+        // Two instantiations, as in `run_block`.
+        if observed {
+            self.merge::<true>(target)
+        } else {
+            self.merge::<false>(target)
+        }
+    }
+
+    /// [`Soc::run_merged`]'s executor, one per value of `observed`.
+    fn merge<const OBSERVED: bool>(&mut self, target: u64) -> bool {
         let start = self.cycle;
         let mut lanes = std::mem::take(&mut self.exec.lanes);
         for i in 0..self.cores.len() {
-            match self.load_lane(i, start) {
+            match self.load_lane(i, start, OBSERVED) {
                 Some(lane) => lanes.push(lane),
                 None => {
                     lanes.clear();
@@ -745,7 +888,10 @@ impl Soc {
             last_done: None,
             instrs: 0,
             events: std::mem::take(&mut self.scratch),
+            observed: OBSERVED,
         };
+        // The scratch buffer still holds the last stepped cycle's events.
+        m.events.clear();
         // The lanes own the bus from here to the write-back. (A fetch
         // loaded from `FetchIssue` queues at `start + 1`: not on the bus.)
         for (i, lane) in m.lanes.iter().enumerate() {
@@ -790,6 +936,10 @@ impl Soc {
                     _ => {}
                 }
             }
+            if OBSERVED {
+                self.exec.log.record(t, &mut m.events);
+            }
+            m.events.clear();
         }
         self.scratch = std::mem::take(&mut m.events);
 
@@ -835,8 +985,9 @@ impl Soc {
 
     /// Core `i` as a merged lane at cycle `now`, or `None` if it cannot be
     /// merged here: a fetch outside the flash window or into an interrupt,
-    /// or a non-passive peripheral request queued or in flight.
-    fn load_lane(&self, i: usize, now: u64) -> Option<Lane> {
+    /// or a data request queued or in flight that is not
+    /// [`Soc::batchable`] in an `observed` run.
+    fn load_lane(&self, i: usize, now: u64, observed: bool) -> Option<Lane> {
         let core = &self.cores[i];
         if core.next_wake(now).is_none() {
             return Some(Lane::Off);
@@ -881,12 +1032,15 @@ impl Soc {
         };
         let mergeable = match access {
             Access::Fetch(_) => self.exec.flash_window.contains(req.addr),
-            Access::Data(_) => self.passive(&req),
+            Access::Data(_) => self.batchable(&req, observed),
         };
         mergeable.then_some(lane)
     }
 
     /// Grants the bus at cycle `t` to the queued lane arbitration picks.
+    // Inlined into both `merge` instantiations: as calls (which is what
+    // the inliner made of them) the merged loop ran ~10 % slower.
+    #[inline(always)]
     fn merge_grant(&mut self, m: &mut Merge, t: u64) {
         let i = self
             .bus
@@ -921,6 +1075,8 @@ impl Soc {
 
     /// Completes lane `i`'s transfer at cycle `t` and runs its core's tick
     /// on the completion: decode, or retire the data access.
+    // Inlined into both `merge` instantiations, like `merge_grant`.
+    #[inline(always)]
     fn merge_complete(&mut self, m: &mut Merge, i: usize, t: u64, req: BusRequest, access: Access) {
         let master = MasterId(i as u8);
         // `last_xact` is clear: the transfer's grant cleared it, and
@@ -968,12 +1124,12 @@ impl Soc {
         }
     }
 
-    /// Lane `i`'s last execute cycle `t`: issue the data access (a
-    /// non-passive one ends the block once queued) or retire.
+    /// Lane `i`'s last execute cycle `t`: issue the data access (one that
+    /// is not [`Soc::batchable`] ends the block once queued) or retire.
     fn merge_exec_last(&mut self, m: &mut Merge, i: usize, instr: Instr, t: u64) {
         match self.cores[i].data_request(instr) {
             Some(req) => {
-                if !self.passive(&req) {
+                if !self.batchable(&req, m.observed) {
                     m.end = m.end.min(t + 1);
                 }
                 m.lanes[i] = Lane::Queued {
@@ -992,7 +1148,6 @@ impl Soc {
     /// Lane `i` retired at cycle `t`: its next fetch issues at `t + 1`
     /// (the block ends there if that fetch cannot be batched).
     fn merge_retired(&mut self, m: &mut Merge, i: usize, t: u64) {
-        m.events.clear();
         m.instrs += 1;
         let core = &self.cores[i];
         if !self.fetchable(core) {
@@ -1482,6 +1637,69 @@ mod tests {
             // Three lanes: two can wait at once, so contended cycles are
             // the union of the waits, not their sum.
             assert_mode_identical(|| contending_soc(3, round_robin, 2), 60_000);
+        }
+    }
+
+    /// A non-observing sink that keeps each delivered cycle's core events
+    /// (everything but the bus tap's records).
+    #[derive(Default)]
+    struct CoreEvents(Vec<(u64, Vec<SocEvent>)>);
+
+    impl CycleSink for CoreEvents {
+        fn observe(&mut self, cycle: u64, events: &[SocEvent]) {
+            let core: Vec<SocEvent> = events
+                .iter()
+                .filter(|e| !matches!(e, SocEvent::Bus(_)))
+                .copied()
+                .collect();
+            if !core.is_empty() {
+                self.0.push((cycle, core));
+            }
+        }
+
+        fn wants_cycles(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn batched_runs_deliver_every_core_event_at_its_cycle() {
+        let straight = || {
+            single_core_soc(
+                "
+                .org 0x80000000
+                start:
+                    li r1, 300
+                    li r2, 0xD0000000
+                loop:
+                    mul r3, r1, r1
+                    sw  r3, 0(r2)
+                    lw  r4, 0(r2)
+                    bne r1, r0, skip
+                    brk
+                skip:
+                    addi r1, r1, -1
+                    bne r1, r0, loop
+                    halt
+                ",
+            )
+        };
+        let builds: [(&str, &dyn Fn() -> Soc); 3] = [
+            ("one core", &straight),
+            ("two cores", &|| contending_soc(2, false, 0)),
+            ("three cores", &|| contending_soc(3, true, 2)),
+        ];
+        for (name, build) in builds {
+            let mut reference = build();
+            reference.set_exec_mode(ExecMode::PerCycle);
+            let mut want = CoreEvents::default();
+            reference.run_cycles_into(40_000, &mut want);
+            let mut soc = build();
+            let mut got = CoreEvents::default();
+            soc.run_cycles_into(40_000, &mut got);
+            assert!(soc.exec_stats().block_cycles > 0, "{name}: batches");
+            assert_eq!(got.0, want.0, "{name}: core events");
+            assert_eq!(soc.save_state(), reference.save_state(), "{name}");
         }
     }
 

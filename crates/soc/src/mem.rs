@@ -15,6 +15,7 @@
 
 use crate::bus::{Addr, BusFault, BusTarget, XferKind};
 use crate::isa::MemWidth;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn read_bytes(data: &[u8], offset: usize, width: MemWidth) -> u32 {
     match width {
@@ -120,6 +121,14 @@ pub struct Flash {
     data: Vec<u8>,
     base_offset: Addr,
     read_wait_states: u32,
+    /// See [`Flash::generation`].
+    generation: u64,
+}
+
+/// A generation no flash contents have had yet.
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Flash {
@@ -130,7 +139,16 @@ impl Flash {
             data: vec![0xFF; size as usize],
             base_offset: 0,
             read_wait_states,
+            generation: fresh_generation(),
         }
+    }
+
+    /// Identifies the contents: every erase or program draws a value no
+    /// flash in the process has had, and a clone keeps it. So a flash whose
+    /// generation equals one noted earlier (on it, or on the flash it was
+    /// cloned from) still holds the contents it had then.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Sets the bus base address.
@@ -157,6 +175,7 @@ impl Flash {
     pub fn program(&mut self, offset: u32, bytes: &[u8]) {
         let off = offset as usize;
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        self.generation = fresh_generation();
     }
 
     /// Backdoor erase: resets `len` bytes at `offset` to `0xFF`.
@@ -167,6 +186,7 @@ impl Flash {
     pub fn erase(&mut self, offset: u32, len: u32) {
         let off = offset as usize;
         self.data[off..off + len as usize].fill(0xFF);
+        self.generation = fresh_generation();
     }
 
     /// Backdoor view of the contents.

@@ -18,7 +18,7 @@
 
 use crate::bus::{Addr, AddrRange, BusFault, BusTarget, XferKind};
 use crate::isa::MemWidth;
-use crate::mem::{EmulationRam, Flash};
+use crate::mem::{EmulationRam, Flash, EMEM_SEGMENT_SIZE};
 
 /// Number of independent redirection ranges (paper: "up to 16 address
 /// ranges").
@@ -414,6 +414,23 @@ impl OverlayMapper {
             }
         }
         None
+    }
+
+    /// True if an enabled range maps part of the flash window, on the
+    /// active page, onto one of the emulation-RAM `segments`: only then
+    /// can a fetch or a flash-window access read what is stored there.
+    pub fn maps_onto(&self, segments: &[usize]) -> bool {
+        let live = self.enabled & self.valid;
+        (0..OVERLAY_RANGE_COUNT)
+            .filter(|i| live & (1 << i) != 0)
+            .any(|i| {
+                let r = &self.ranges[i];
+                let first = r.offset_for(self.page) / EMEM_SEGMENT_SIZE;
+                let last = (r.offset_for(self.page) + r.size - 1) / EMEM_SEGMENT_SIZE;
+                segments
+                    .iter()
+                    .any(|&s| (first..=last).contains(&(s as u32)))
+            })
     }
 
     fn ctrl_read(&self, off: u32) -> Result<u32, BusFault> {

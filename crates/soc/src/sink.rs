@@ -21,6 +21,12 @@
 //! * Sinks must not assume every cycle has events; empty slices are
 //!   delivered too (they carry the cycle number, which pacing-sensitive
 //!   observers like throughput meters and checkpoint rings rely on).
+//! * A sink that does not [want every cycle](CycleSink::wants_cycles)
+//!   sees the stepped cycles as above, and of the cycles the execution
+//!   kernel batches only those with core events: each such cycle once, in
+//!   order, with its retires and halts in core order and without the bus
+//!   tap's [`SocEvent::Bus`] records. Skipped and event-free batched
+//!   cycles are not delivered.
 //!
 //! Combinators: [`NullSink`] discards (the fast-forward path), [`Collect`]
 //! materialises `Vec<CycleRecord>` for the legacy batch API, and
@@ -50,13 +56,26 @@ pub trait CycleSink {
     /// Returning `false` licenses the execution kernel to advance time in
     /// batches (event skips, basic blocks) without calling
     /// [`CycleSink::observe`] for the elided cycles: the sink forfeits the
-    /// once-per-cycle guarantee in exchange for speed. Cycles that the
-    /// kernel does step exactly are still delivered, so a non-observing
-    /// sink may see a *subset* of cycles, never a wrong one. Anything that
-    /// inspects events or relies on per-cycle pacing must keep the default
-    /// `true`.
+    /// once-per-cycle guarantee in exchange for speed. Stepped cycles are
+    /// still delivered whole, and batched cycles with core events are
+    /// delivered with those events (see the [module docs](self)), so a
+    /// non-observing sink sees a *subset* of cycles, never a wrong one.
+    /// Anything that needs bus events or per-cycle pacing must keep the
+    /// default `true`.
     fn wants_cycles(&self) -> bool {
         true
+    }
+
+    /// Whether [`CycleSink::observe`] ignores everything it is handed
+    /// ([`NullSink`]). The kernel then keeps no events of the cycles it
+    /// batches for this sink. A sink that does not discard observes the
+    /// batched run, so the kernel also leaves every data access into the
+    /// emulation-RAM or overlay-control window to the exact step: the
+    /// observer may write emulation RAM only after the batched stretch
+    /// (the device's trace store does), and no bus master may read memory
+    /// that per-cycle execution would already have written.
+    fn discards(&self) -> bool {
+        false
     }
 }
 
@@ -69,6 +88,10 @@ impl<S: CycleSink + ?Sized> CycleSink for &mut S {
 
     fn wants_cycles(&self) -> bool {
         (**self).wants_cycles()
+    }
+
+    fn discards(&self) -> bool {
+        (**self).discards()
     }
 }
 
@@ -84,6 +107,10 @@ impl CycleSink for NullSink {
     /// Discarding sink: the kernel may elide cycles entirely.
     fn wants_cycles(&self) -> bool {
         false
+    }
+
+    fn discards(&self) -> bool {
+        true
     }
 }
 
@@ -149,6 +176,10 @@ impl<A: CycleSink, B: CycleSink> CycleSink for FanOut<A, B> {
     /// A fan-out needs per-cycle delivery if either branch does.
     fn wants_cycles(&self) -> bool {
         self.first.wants_cycles() || self.second.wants_cycles()
+    }
+
+    fn discards(&self) -> bool {
+        self.first.discards() && self.second.discards()
     }
 }
 

@@ -646,6 +646,23 @@ impl Soc {
         }
     }
 
+    /// Mutable backdoor to the emulation RAM for writes confined to its
+    /// `segments` (the MCDS trace sink's stores into its trace segments).
+    /// Cached decode comes from the flash window, which reads emulation
+    /// RAM only through an overlay redirect, so unlike
+    /// [`Soc::mapper_mut`] this invalidates the decode cache only when an
+    /// overlay range maps the flash window onto one of `segments`
+    /// ([`OverlayMapper::maps_onto`]). `None` without emulation RAM.
+    pub fn emem_segments_mut(&mut self, segments: &[usize]) -> Option<&mut EmulationRam> {
+        if self.mapper().maps_onto(segments) {
+            self.exec.invalidate_decode();
+        }
+        match self.bus.target_mut(self.mapper_id) {
+            SocTarget::Mapper(m) => m.emem_mut(),
+            _ => unreachable!("mapper id points at mapper"),
+        }
+    }
+
     /// The SRAM (backdoor).
     pub fn sram(&self) -> &Sram {
         match self.bus.target(self.sram_id) {

@@ -116,7 +116,7 @@ grep -q '"corr"' target/analysis/t15_journal.json \
 cargo run --release -q -p mcds-bench --bin t16_kernel -- --smoke
 for metric in t16_block_cycles_total t16_skipped_cycles_total \
               t16_line_speedup t16_quiet_speedup t16_decode_hit_rate \
-              t16_two_core_speedup; do
+              t16_two_core_speedup t16_traced_speedup; do
   grep -q "$metric" target/analysis/t16_kernel_telemetry.prom \
     || { echo "missing $metric in t16_kernel_telemetry.prom"; exit 1; }
 done

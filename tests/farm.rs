@@ -273,8 +273,10 @@ fn vehicle_groups_render_in_fleet_health() {
 /// execution, evicted to disk and revived, must be bit-identical — state
 /// hash and decoded trace — to a per-cycle control session that never
 /// left memory. Proves the decode cache never leaks into the suspended
-/// snapshot. The untraced pair is the one the kernel actually batches,
-/// which the farm's kernel counters must show.
+/// snapshot. The traced MCDS only observes, so the traced batched session
+/// batches (the device feeds the MCDS events from the kernel's blocks);
+/// the untraced pair batches as well, and the farm's kernel counters must
+/// show both.
 #[test]
 fn revived_batched_session_matches_per_cycle_control() {
     let (server, addr) = spawn_server("kernel");
@@ -307,7 +309,13 @@ fn revived_batched_session_matches_per_cycle_control() {
         "batched + evict/revive must match the per-cycle control"
     );
     assert_eq!(trace_c, trace_b, "decoded traces must match");
+    // The traced MCDS only observes, so the batched session batches too.
     let traced_batched = server.farm().stats().cycles_batched_total;
+    assert!(
+        traced_batched > 0,
+        "the traced batched session must run batched: {:?}",
+        server.farm().stats()
+    );
 
     // Untraced: the idle device (MCDS and service core) enters the kernel.
     let plain_c = c.create("engine", false).expect("plain control");

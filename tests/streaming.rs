@@ -5,16 +5,21 @@
 //! snapshot hash — and the `run_cycles` fast-forward must land on exactly
 //! the state the per-cycle path lands on.
 
-use mcds::observer::{CoreTraceConfig, TraceQualifier};
-use mcds::McdsConfig;
+use mcds::observer::{CoreTraceConfig, DataTraceConfig, TraceQualifier};
+use mcds::{
+    CounterConfig, CounterMode, CrossTrigger, McdsConfig, ProgramComparator, SignalRef,
+    TriggerAction,
+};
+use mcds_farm::device_spec;
 use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
 use mcds_replay::{device_state_hash, SocSnapshot};
-use mcds_soc::asm::assemble;
+use mcds_soc::asm::{assemble, Program};
 use mcds_soc::cpu::CoreConfig;
 use mcds_soc::event::{CoreId, CycleRecord};
 use mcds_soc::sink::{Collect, NullSink};
-use mcds_soc::soc::SocBuilder;
+use mcds_soc::soc::{memmap, SocBuilder};
 use mcds_trace::StreamDecoder;
+use mcds_workloads::Workload;
 use proptest::prelude::*;
 
 /// A loop with a data-dependent inner conditional — the branch pattern
@@ -299,6 +304,191 @@ fn drive_schedule(
     }
 }
 
+/// The start of the trace memory of a development device built with the
+/// default trace segments (6 and 7).
+const TRACE_BASE: u32 = memmap::EMEM_BASE + 6 * 0x1_0000;
+
+/// A loop with a data-dependent branch, like [`loop_source`], that also
+/// loads a word each pass and stores the running XOR to a per-core SRAM
+/// word. The load reads SRAM, or with `reads_trace` the device's own trace
+/// memory, which the MCDS fills while the loop runs.
+fn observed_source(iterations: u32, stride: u32, reads_trace: bool) -> String {
+    let base = if reads_trace {
+        TRACE_BASE
+    } else {
+        memmap::SRAM_BASE
+    };
+    format!(
+        "
+        .org 0x80000000
+        start:
+            li r1, {iterations}
+            li r3, 0
+            li r8, {base}
+            mfsr r10, coreid
+            slli r10, r10, 2
+            li r11, 0xD0000100
+            add r10, r10, r11
+        loop:
+            addi r3, r3, {stride}
+            andi r4, r3, 4
+            beq r4, r0, even
+        odd:
+            addi r5, r5, 1
+        even:
+            andi r9, r3, 60
+            add r9, r9, r8
+            lw r7, 0(r9)
+            xor r5, r5, r7
+            sw r5, 0(r10)
+            addi r1, r1, -1
+            bne r1, r0, loop
+            halt
+        "
+    )
+}
+
+/// Program trace on every core, always on or (with `window`) in a window
+/// a comparator on `odd` opens and one on `loop` closes, plus data trace
+/// in the same qualifier when `data_trace`.
+fn observed_config(program: &Program, cores: usize, window: bool, data_trace: bool) -> McdsConfig {
+    let at = |label: &str| ProgramComparator::at(program.symbol(label).expect("label"));
+    let core = |c: u8| {
+        let qualifier = if window {
+            TraceQualifier::Window {
+                start: SignalRef::ProgComp {
+                    core: CoreId(c),
+                    idx: 0,
+                },
+                stop: SignalRef::ProgComp {
+                    core: CoreId(c),
+                    idx: 1,
+                },
+            }
+        } else {
+            TraceQualifier::Always
+        };
+        CoreTraceConfig {
+            program_comparators: vec![at("odd"), at("loop")],
+            program_trace: qualifier.clone(),
+            data_trace: DataTraceConfig {
+                qualifier: if data_trace {
+                    qualifier
+                } else {
+                    TraceQualifier::Off
+                },
+                filter: None,
+            },
+            ..Default::default()
+        }
+    };
+    McdsConfig {
+        cores: (0..cores as u8).map(core).collect(),
+        fifo_depth: 1 << 12,
+        sink_bandwidth: 16,
+        ..Default::default()
+    }
+}
+
+/// A development device with `cores` undivided cores running `program`
+/// under `config`.
+fn observed_device(program: &Program, cores: usize, config: McdsConfig) -> Device {
+    let mut builder = DeviceBuilder::new(DeviceVariant::EdSideBooster).mcds(config);
+    for _ in 0..cores {
+        builder = builder.core(CoreConfig {
+            reset_pc: 0x8000_0000,
+            clock_div: 1,
+            ..Default::default()
+        });
+    }
+    let mut dev = builder.build();
+    dev.soc_mut().load_program(program);
+    dev
+}
+
+/// An MCDS with a counter or a cross-trigger line is not observe-only: a
+/// traced run of it steps every cycle in both modes, with the same trace
+/// and state.
+#[test]
+fn counters_and_cross_triggers_keep_traced_runs_stepping() {
+    let program = assemble(&observed_source(60, 3, false)).expect("assembles");
+    let odd = SignalRef::ProgComp {
+        core: CoreId(0),
+        idx: 0,
+    };
+    let mut with_counter = observed_config(&program, 2, false, true);
+    with_counter.counters.push(CounterConfig {
+        increment_on: odd,
+        threshold: 4,
+        reset_on: None,
+        mode: CounterMode::Repeat,
+    });
+    let mut with_line = observed_config(&program, 2, false, true);
+    with_line.cross_triggers.push(CrossTrigger::on_any(
+        vec![odd],
+        TriggerAction::TriggerOutPin(0),
+    ));
+    for config in [with_counter, with_line] {
+        let run = |mode: mcds_soc::ExecMode| {
+            let mut dev = observed_device(&program, 2, config.clone());
+            dev.set_exec_mode(mode);
+            dev.run_cycles(3_000);
+            let stats = *dev.exec_stats();
+            assert_eq!(stats.stepped_cycles, dev.soc().cycle(), "{stats:?}");
+            (
+                sink_bytes(&dev),
+                dev.trigger_out_log().to_vec(),
+                device_state_hash(&dev),
+            )
+        };
+        assert_eq!(
+            run(mcds_soc::ExecMode::PerCycle),
+            run(mcds_soc::ExecMode::BlockBatched)
+        );
+    }
+}
+
+/// Trace stores go to the trace segments through a narrow write path
+/// that leaves the decode cache alone (no overlay maps code there), so a
+/// traced batched catalog run decodes each instruction word about once:
+/// its decode misses stay below the program's size in words, however many
+/// stores the run makes. The run comes in short quanta, as debugger runs
+/// do, and each quantum ends with a store.
+#[test]
+fn trace_stores_keep_the_decode_cache() {
+    for w in [
+        Workload::Engine,
+        Workload::Gearbox,
+        Workload::EngineGearbox,
+        Workload::EngineGearboxVehicle,
+    ] {
+        let program = w.program();
+        let mut dev = device_spec(w, true).build();
+        dev.soc_mut().load_program(&program);
+        for _ in 0..300 {
+            dev.run_cycles(1_000);
+        }
+        let stats = *dev.exec_stats();
+        assert!(
+            stats.block_cycles > stats.stepped_cycles,
+            "{}: {stats:?}",
+            w.name()
+        );
+        assert!(
+            dev.sink().message_count() > 100,
+            "{}: trace stored",
+            w.name()
+        );
+        let words = program.byte_len() as u64 / 4;
+        assert!(
+            stats.decode_misses <= words,
+            "{}: {} decode misses for {words} program words: {stats:?}",
+            w.name(),
+            stats.decode_misses
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -335,27 +525,48 @@ proptest! {
         prop_assert_eq!(per_cycle, block);
     }
 
-    /// The same equivalence for a *traced* device: the MCDS is live, so
-    /// the device-layer idle gate must keep both modes on the exact
-    /// per-cycle path — same sink bytes, same decoded trace, same
-    /// hashes, every cycle counted as stepped. Guards against the
-    /// batching kernel engaging where observation could be lost.
+    /// The same equivalence for a *traced* device. Its MCDS only
+    /// observes, so the batched run hands it events instead of cycles:
+    /// program trace always on or in a comparator window, optional data
+    /// trace, history or one-message-per-branch program trace with a short
+    /// or the default sync period, sink bandwidths and drain periods that
+    /// leave a backlog across quiet cycles, one or two cores, and a
+    /// program that may load from its
+    /// own trace memory (which must end the block, so the load sees the
+    /// stored trace). Same sink bytes, same decoded trace and same hashes
+    /// as per-cycle stepping, and the batched run really batches.
     #[test]
     fn execution_kernel_modes_preserve_traced_runs(
         iterations in 1u32..80,
         stride in 1u32..5,
         quanta in proptest::collection::vec(1u64..500, 1..8),
+        cores in 1usize..=2,
+        sink_bandwidth in 1usize..=8,
+        sink_drain_period in 1u64..=6,
+        history_mode in any::<bool>(),
+        short_sync in any::<bool>(),
+        window in any::<bool>(),
+        data_trace in any::<bool>(),
+        reads_trace in any::<bool>(),
     ) {
-        let src = loop_source(iterations, stride);
+        let program = assemble(&observed_source(iterations, stride, reads_trace))
+            .expect("assembles");
+        let mut config = observed_config(&program, cores, window, data_trace);
+        config.sink_bandwidth = sink_bandwidth;
+        config.sink_drain_period = sink_drain_period;
+        config.history_mode = history_mode;
+        config.sync_period = if short_sync { 32 } else { 256 };
         let run = |mode: mcds_soc::ExecMode| {
-            let mut dev = traced_device(&src, false, 32);
+            let mut dev = observed_device(&program, cores, config.clone());
             dev.set_exec_mode(mode);
             for &q in &quanta {
                 dev.run_cycles(q);
             }
             let stats = *dev.exec_stats();
-            assert_eq!(stats.stepped_cycles, dev.soc().cycle(), "{stats:?}");
             assert_eq!(stats.total_cycles(), dev.soc().cycle(), "{stats:?}");
+            if mode == mcds_soc::ExecMode::BlockBatched && dev.soc().cycle() >= 200 {
+                assert!(stats.block_cycles > 0, "the traced run batches: {stats:?}");
+            }
             let bytes = sink_bytes(&dev);
             let msgs = StreamDecoder::new(bytes.clone())
                 .collect_all()
