@@ -4,13 +4,14 @@
 //!
 //! The kernel replaces the uniform per-cycle loop with a min-fold over
 //! component wakeups (idle stretches are skipped in one jump) and a
-//! decode-cached basic-block layer for straight-line TC-RISC runs. Both
-//! tiers promise bit-identical architectural state; this experiment
-//! measures what that buys and asserts the promise on every run:
+//! decode-cached block layer for straight-line TC-RISC runs (one lane
+//! per running core, advanced by bus grants). Both tiers promise
+//! bit-identical architectural state; this experiment measures what that
+//! buys and asserts the promise on every run:
 //!
 //! * **T16a** — straight-line speed: an idle-MCDS ALU/memory loop under
-//!   `PerCycle` and `BlockBatched`, best-of-N wall time, identical state
-//!   hashes asserted, block-batched >= 5x per-cycle;
+//!   `PerCycle` and `BlockBatched` (each repeat's ratio printed),
+//!   identical state hashes asserted, block-batched >= 5x per-cycle;
 //! * **T16b** — quiescent skip: a timer-wait workload (halted core, armed
 //!   timer) where block-batched must be >= 10x per-cycle;
 //! * **T16c** — traced sessions: the catalog workloads as traced
@@ -31,6 +32,10 @@
 //!   merges by bus grants, must reach >= 1.5x per-cycle;
 //! * the idle-skip / block-hit-rate table and the kernel counters
 //!   published as `t16_kernel_telemetry.{json,prom}`.
+//!
+//! Every speed figure is the best-of-N wall time per mode, the two modes
+//! interleaved within each repeat, so that the speed phases of a shared
+//! host slow both modes of a ratio alike.
 //!
 //! Run with `--smoke` for a short CI-friendly pass.
 
@@ -197,33 +202,59 @@ fn mode_name(mode: ExecMode) -> &'static str {
     }
 }
 
-/// Best-of-N over both modes; asserts state and snapshot hashes are
-/// identical across them, returns per-mode (wall, stats).
-fn compare(src: &str, cycles: u64, repeats: usize) -> Vec<(ExecMode, f64, ExecStats)> {
-    let mut out = Vec::new();
-    let mut reference: Option<(u64, u64)> = None;
-    for mode in MODES {
-        let mut best = f64::MAX;
-        let mut stats = ExecStats::default();
-        for _ in 0..repeats {
-            let (wall, state, snap, s) = timed(src, mode, cycles);
-            match reference {
-                None => reference = Some((state, snap)),
-                Some(want) => assert_eq!(
-                    (state, snap),
-                    want,
-                    "{} diverged from per-cycle (state/snapshot hash)",
-                    mode_name(mode)
-                ),
-            }
-            if wall < best {
-                best = wall;
-                stats = s;
+/// Best-of-`repeats` per mode, the modes interleaved within each repeat
+/// (per-cycle, block-batched, per-cycle, ...) so that a host speed phase
+/// slows both alike. `run` returns one run's wall seconds and result; each
+/// mode keeps its fastest run's (wall, result), in [`MODES`] order. Also
+/// returns each repeat's per-cycle / block-batched wall ratio.
+fn interleaved<T>(
+    repeats: usize,
+    mut run: impl FnMut(ExecMode) -> (f64, T),
+) -> (Vec<(f64, T)>, Vec<f64>) {
+    let mut best: [Option<(f64, T)>; 2] = [None, None];
+    let mut ratios = Vec::new();
+    for _ in 0..repeats {
+        let mut walls = [0.0; 2];
+        for (k, mode) in MODES.into_iter().enumerate() {
+            let (wall, out) = run(mode);
+            walls[k] = wall;
+            if best[k].as_ref().is_none_or(|(b, _)| wall < *b) {
+                best[k] = Some((wall, out));
             }
         }
-        out.push((mode, best, stats));
+        ratios.push(walls[0] / walls[1]);
     }
-    out
+    let best = best.map(|b| b.expect("at least one repeat"));
+    (best.into(), ratios)
+}
+
+/// [`interleaved`] runs of `src` for `cycles` through [`timed`]; asserts
+/// state and snapshot hashes are identical across every run. Returns
+/// per-mode (mode, wall, stats) and each repeat's wall ratio.
+fn compare(src: &str, cycles: u64, repeats: usize) -> (Vec<(ExecMode, f64, ExecStats)>, Vec<f64>) {
+    let mut reference: Option<(u64, u64)> = None;
+    let (best, ratios) = interleaved(repeats, |mode| {
+        let (wall, state, snap, s) = timed(src, mode, cycles);
+        assert_eq!(
+            *reference.get_or_insert((state, snap)),
+            (state, snap),
+            "{} diverged from per-cycle (state/snapshot hash)",
+            mode_name(mode)
+        );
+        (wall, s)
+    });
+    let rows = MODES
+        .into_iter()
+        .zip(best)
+        .map(|(mode, (wall, s))| (mode, wall, s))
+        .collect();
+    (rows, ratios)
+}
+
+/// Each repeat's per-cycle / block-batched wall ratio, for the log.
+fn pair_ratios(ratios: &[f64]) -> String {
+    let each: Vec<String> = ratios.iter().map(|r| format!("{r:.2}x")).collect();
+    format!("per-repeat pairs {}", each.join(" "))
 }
 
 fn stats_table(title: &str, cycles: u64, rows: &[(ExecMode, f64, ExecStats)]) {
@@ -270,7 +301,7 @@ fn main() {
     let repeats: usize = args.scale(5, 3);
 
     // --- T16a: straight-line block execution. ---------------------------
-    let line = compare(STRAIGHT_LINE, cycles, repeats);
+    let (line, line_ratios) = compare(STRAIGHT_LINE, cycles, repeats);
     stats_table(
         &format!("T16a: straight-line loop over {cycles} cycles (best of {repeats})"),
         cycles,
@@ -279,7 +310,10 @@ fn main() {
     let wall_per_cycle = line[0].1;
     let wall_block = line[1].1;
     let line_speedup = wall_per_cycle / wall_block;
-    println!("block-batched speedup {line_speedup:.2}x vs per-cycle; hashes identical\n");
+    println!(
+        "block-batched speedup {line_speedup:.2}x vs per-cycle (best of each mode; {}); hashes identical\n",
+        pair_ratios(&line_ratios)
+    );
     assert!(
         line_speedup >= 5.0,
         "block-batched must be >= 5x per-cycle on straight-line code (got {line_speedup:.2}x)"
@@ -291,7 +325,7 @@ fn main() {
     );
 
     // --- T16b: quiescent timer-wait skip. -------------------------------
-    let quiet = compare(TIMER_WAIT, quiet_cycles, repeats);
+    let (quiet, quiet_ratios) = compare(TIMER_WAIT, quiet_cycles, repeats);
     stats_table(
         &format!("T16b: timer-wait quiescence over {quiet_cycles} cycles (best of {repeats})"),
         quiet_cycles,
@@ -300,7 +334,10 @@ fn main() {
     let wall_quiet_per_cycle = quiet[0].1;
     let wall_quiet_block = quiet[1].1;
     let quiet_speedup = wall_quiet_per_cycle / wall_quiet_block;
-    println!("block-batched skip speedup {quiet_speedup:.2}x vs per-cycle; hashes identical\n");
+    println!(
+        "block-batched skip speedup {quiet_speedup:.2}x vs per-cycle (best of each mode; {}); hashes identical\n",
+        pair_ratios(&quiet_ratios)
+    );
     assert!(
         quiet_speedup >= 10.0,
         "block-batched must be >= 10x per-cycle on a quiescent workload (got {quiet_speedup:.2}x)"
@@ -330,37 +367,26 @@ fn main() {
     ] {
         let mcds = mcds.unwrap_or_else(|| McdsConfig::program_trace(w.cores()));
         let mut want = None;
-        let mut per_cycle_wall = 0.0;
-        for mode in MODES {
-            let mut best = f64::MAX;
-            let mut stats = ExecStats::default();
-            let mut msgs = 0;
-            for _ in 0..repeats {
-                let (cycles, wall, hash, s, trace) =
-                    session_run(w, Some(mcds.clone()), mode, session_cycles, quantum, false);
-                let decoded = StreamDecoder::new(trace.clone())
-                    .collect_all()
-                    .expect("trace decodes");
-                msgs = decoded.len();
-                assert_eq!(
-                    want.get_or_insert_with(|| (cycles, hash, trace.clone(), decoded.clone())),
-                    &(cycles, hash, trace, decoded),
-                    "{}{label}: traced {} session diverged from per-cycle \
-                     (cycles, state hash, trace bytes or decoded messages)",
-                    w.name(),
-                    mode_name(mode)
-                );
-                if wall < best {
-                    best = wall;
-                    stats = s;
-                }
-            }
-            let speedup = if mode == ExecMode::PerCycle {
-                per_cycle_wall = best;
-                1.0
-            } else {
-                per_cycle_wall / best
-            };
+        let (best, _) = interleaved(repeats, |mode| {
+            let (cycles, wall, hash, s, trace) =
+                session_run(w, Some(mcds.clone()), mode, session_cycles, quantum, false);
+            let decoded = StreamDecoder::new(trace.clone())
+                .collect_all()
+                .expect("trace decodes");
+            let msgs = decoded.len();
+            assert_eq!(
+                want.get_or_insert_with(|| (cycles, hash, trace.clone(), decoded.clone())),
+                &(cycles, hash, trace, decoded),
+                "{}{label}: traced {} session diverged from per-cycle \
+                 (cycles, state hash, trace bytes or decoded messages)",
+                w.name(),
+                mode_name(mode)
+            );
+            (wall, (s, msgs))
+        });
+        let per_cycle_wall = best[0].0;
+        for (mode, (best, (stats, msgs))) in MODES.into_iter().zip(best) {
+            let speedup = per_cycle_wall / best;
             if mode == ExecMode::BlockBatched {
                 assert!(
                     stats.block_cycles > stats.stepped_cycles,
@@ -432,33 +458,21 @@ fn main() {
         (Workload::RaceBuggy, true),
     ] {
         let mut want = None;
-        let mut per_cycle_wall = 0.0;
-        for mode in MODES {
-            let mut best = f64::MAX;
-            let mut stats = ExecStats::default();
-            let mut ran = 0;
-            for _ in 0..repeats {
-                let (cycles, wall, hash, s, _) =
-                    session_run(w, None, mode, session_cycles, quantum, halts);
-                assert_eq!(
-                    *want.get_or_insert((cycles, hash)),
-                    (cycles, hash),
-                    "{}: {} session diverged from per-cycle",
-                    w.name(),
-                    mode_name(mode)
-                );
-                ran = cycles;
-                if wall < best {
-                    best = wall;
-                    stats = s;
-                }
-            }
-            let speedup = if mode == ExecMode::PerCycle {
-                per_cycle_wall = best;
-                1.0
-            } else {
-                per_cycle_wall / best
-            };
+        let (best, _) = interleaved(repeats, |mode| {
+            let (cycles, wall, hash, s, _) =
+                session_run(w, None, mode, session_cycles, quantum, halts);
+            assert_eq!(
+                *want.get_or_insert((cycles, hash)),
+                (cycles, hash),
+                "{}: {} session diverged from per-cycle",
+                w.name(),
+                mode_name(mode)
+            );
+            (wall, (s, cycles))
+        });
+        let per_cycle_wall = best[0].0;
+        for (mode, (best, (stats, ran))) in MODES.into_iter().zip(best) {
+            let speedup = per_cycle_wall / best;
             if mode == ExecMode::BlockBatched {
                 assert!(
                     stats.stepped_cycles * 100 <= ran,

@@ -25,9 +25,13 @@
 use mcds_bench::{print_table, tracing_config, write_telemetry_artifacts, BenchArgs};
 use mcds_host::TimeTravel;
 use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
-use mcds_replay::{device_state_hash, trace_bytes, Checkpoint, InputLog, Replayer, SocSnapshot};
+use mcds_replay::{
+    device_state_hash, run_with_events_into, trace_bytes, Checkpoint, InputLog, Replayer,
+    SocSnapshot,
+};
 use mcds_soc::cpu::CoreConfig;
 use mcds_soc::event::{CoreId, SocEvent};
+use mcds_soc::CycleSink;
 use mcds_telemetry::{MetricValue, Subsystem, Telemetry, ThroughputMeter};
 use mcds_trace::StreamDecoder;
 use mcds_workloads::gearbox;
@@ -69,37 +73,45 @@ struct BaselineRun {
     final_trace: Vec<u8>,
 }
 
+/// Core 0's retirement pcs, in order. It does not want every cycle, so
+/// the replayed run batches like the checkpointed one: every retire still
+/// reaches it at its cycle.
+#[derive(Default)]
+struct RetirePcs(Vec<u32>);
+
+impl CycleSink for RetirePcs {
+    fn observe(&mut self, _cycle: u64, events: &[SocEvent]) {
+        for e in events {
+            if let SocEvent::Retire(x) = e {
+                if x.core == CoreId(0) {
+                    self.0.push(x.pc);
+                }
+            }
+        }
+    }
+
+    fn wants_cycles(&self) -> bool {
+        false
+    }
+}
+
 /// The plain recorded run: no checkpoints, collecting the retirement
 /// stream, a mid-run snapshot, and the final state hash + trace stream.
 fn baseline_run(log: &InputLog, run_cycles: u64) -> BaselineRun {
     let mut dev = gearbox_device();
     let mut rep = Replayer::new(log);
     let mid = run_cycles / 2;
-    let mut pcs = Vec::new();
-    let mut mid_snapshot = None;
+    let mut pcs = RetirePcs::default();
     let start = Instant::now();
-    while dev.soc().cycle() < run_cycles {
-        if dev.soc().cycle() == mid && mid_snapshot.is_none() {
-            mid_snapshot = Some(SocSnapshot::capture(&dev));
-        }
-        rep.apply_due(&mut dev);
-        if dev.soc().cycle() >= run_cycles {
-            break;
-        }
-        let record = dev.step();
-        for e in &record.events {
-            if let SocEvent::Retire(x) = e {
-                if x.core == CoreId(0) {
-                    pcs.push(x.pc);
-                }
-            }
-        }
-    }
+    run_with_events_into(&mut dev, &mut rep, mid, None, &mut pcs);
+    assert_eq!(dev.soc().cycle(), mid, "mid-run snapshot on its cycle");
+    let mid_snapshot = SocSnapshot::capture(&dev);
+    run_with_events_into(&mut dev, &mut rep, run_cycles, None, &mut pcs);
     let wall = start.elapsed().as_secs_f64();
     BaselineRun {
         wall,
-        pcs,
-        mid_snapshot: mid_snapshot.expect("mid-run snapshot captured"),
+        pcs: pcs.0,
+        mid_snapshot,
         final_hash: device_state_hash(&dev),
         final_trace: trace_bytes(&dev).expect("ED device has trace memory"),
     }

@@ -226,11 +226,6 @@ pub struct BusCounters {
 }
 
 impl BusCounters {
-    /// Cycles with no transaction in flight.
-    pub fn idle_cycles(&self) -> u64 {
-        self.cycles - self.busy_cycles
-    }
-
     /// Fraction of cycles with a transaction in flight (0.0–1.0).
     pub fn utilization(&self) -> f64 {
         if self.cycles == 0 {
@@ -360,11 +355,6 @@ impl<T: BusTarget> Bus<T> {
     /// Switches the arbiter to round-robin between masters.
     pub fn set_round_robin(&mut self, enabled: bool) {
         self.round_robin = enabled;
-    }
-
-    /// Number of master slots.
-    pub fn master_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Registers a target; it handles no addresses until [`Bus::map_range`]

@@ -299,9 +299,9 @@ impl Cpu {
 
     /// True if the core runs on the undivided SoC clock with no
     /// debug/step side-entry pending and no buffered completion — the
-    /// per-core precondition of both batched executors, which fuse whole
-    /// instructions at one core tick per SoC cycle. The core may be in any
-    /// phase.
+    /// per-core precondition of the batched block executor, which runs
+    /// whole instructions at one core tick per SoC cycle. The core may be
+    /// in any phase.
     pub(crate) fn lane_ready(&self) -> bool {
         matches!(self.state, RunState::Running)
             && !self.suspended
@@ -309,13 +309,6 @@ impl Cpu {
             && !self.break_pending
             && self.step_budget.is_none()
             && self.config.clock_div <= 1
-    }
-
-    /// True if the core's next tick would issue a fetch for a fresh
-    /// instruction without taking an interrupt — the single-lane block
-    /// executor's entry precondition.
-    pub(crate) fn block_ready(&self) -> bool {
-        self.lane_ready() && matches!(self.phase, Phase::FetchIssue) && !self.irq_taken_next()
     }
 
     /// The current pipeline phase.

@@ -634,14 +634,6 @@ impl Instr {
     pub fn is_indirect_branch(self) -> bool {
         matches!(self, Instr::Jalr { .. } | Instr::Eret)
     }
-
-    /// True if the instruction reads or writes data memory.
-    pub fn is_mem(self) -> bool {
-        matches!(
-            self,
-            Instr::Load { .. } | Instr::Store { .. } | Instr::Swap { .. }
-        )
-    }
 }
 
 impl fmt::Display for Instr {
