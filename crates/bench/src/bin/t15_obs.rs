@@ -5,7 +5,8 @@
 //! line and actually spans the stack:
 //!
 //! * **T15a (overhead + identity)** — the same engine session run with
-//!   the journal detached and attached, best-of-3 each, sliced into
+//!   the journal detached and attached, best-of-3 each with the two
+//!   alternating within each repeat ([`mcds_bench::interleaved`]), sliced into
 //!   scheduler-sized quanta. The journal-on run must land on the
 //!   **identical device state hash** and keep **≥ 90 %** of the
 //!   journal-off cycles/s (the <10 % overhead budget);
@@ -25,7 +26,7 @@
 //! namespaces). Run with `--smoke` for the short CI pass.
 
 use mcds_analysis::chrome::ChromeTrace;
-use mcds_bench::{print_table, write_telemetry_artifacts, BenchArgs};
+use mcds_bench::{interleaved, print_table, write_telemetry_artifacts, BenchArgs};
 use mcds_campaign::{Campaign, CampaignConfig, Scenario, Workload as CampaignWorkload};
 use mcds_farm::{device_spec, FarmClient, FarmConfig, FarmServer};
 use mcds_host::Session;
@@ -66,19 +67,18 @@ fn main() {
 
     // --- T15a: journal overhead and state-hash identity. ------------------
     let journal = Journal::new(4096);
-    let mut off = Vec::new();
-    let mut on = Vec::new();
-    for _ in 0..3 {
-        off.push(session_round(cycles, quantum, None));
-        on.push(session_round(cycles, quantum, Some(&journal)));
-    }
-    let hash_off = off[0].1;
-    assert!(
-        off.iter().chain(on.iter()).all(|&(_, h)| h == hash_off),
-        "the journal must not perturb architectural state"
-    );
-    let best_off = off.iter().map(|&(w, _)| w).fold(f64::MAX, f64::min);
-    let best_on = on.iter().map(|&(w, _)| w).fold(f64::MAX, f64::min);
+    let mut hash_off = None;
+    let (best, _) = interleaved(3, [None, Some(&journal)], |j| {
+        let (wall, hash) = session_round(cycles, quantum, j);
+        assert_eq!(
+            *hash_off.get_or_insert(hash),
+            hash,
+            "the journal must not perturb architectural state"
+        );
+        (wall, ())
+    });
+    let hash_off = hash_off.expect("at least one run");
+    let (best_off, best_on) = (best[0].0, best[1].0);
     let rate_off = cycles as f64 / best_off;
     let rate_on = cycles as f64 / best_on;
     print_table(

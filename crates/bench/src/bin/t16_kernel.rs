@@ -41,7 +41,7 @@
 
 use mcds::observer::{CoreTraceConfig, DataTraceConfig, TraceQualifier};
 use mcds::{McdsConfig, ProgramComparator, SignalRef};
-use mcds_bench::{print_table, write_telemetry_artifacts, BenchArgs};
+use mcds_bench::{interleaved, print_table, write_telemetry_artifacts, BenchArgs};
 use mcds_farm::{device_spec, FarmConfig};
 use mcds_host::Session;
 use mcds_psi::device::DeviceSpec;
@@ -202,38 +202,12 @@ fn mode_name(mode: ExecMode) -> &'static str {
     }
 }
 
-/// Best-of-`repeats` per mode, the modes interleaved within each repeat
-/// (per-cycle, block-batched, per-cycle, ...) so that a host speed phase
-/// slows both alike. `run` returns one run's wall seconds and result; each
-/// mode keeps its fastest run's (wall, result), in [`MODES`] order. Also
-/// returns each repeat's per-cycle / block-batched wall ratio.
-fn interleaved<T>(
-    repeats: usize,
-    mut run: impl FnMut(ExecMode) -> (f64, T),
-) -> (Vec<(f64, T)>, Vec<f64>) {
-    let mut best: [Option<(f64, T)>; 2] = [None, None];
-    let mut ratios = Vec::new();
-    for _ in 0..repeats {
-        let mut walls = [0.0; 2];
-        for (k, mode) in MODES.into_iter().enumerate() {
-            let (wall, out) = run(mode);
-            walls[k] = wall;
-            if best[k].as_ref().is_none_or(|(b, _)| wall < *b) {
-                best[k] = Some((wall, out));
-            }
-        }
-        ratios.push(walls[0] / walls[1]);
-    }
-    let best = best.map(|b| b.expect("at least one repeat"));
-    (best.into(), ratios)
-}
-
 /// [`interleaved`] runs of `src` for `cycles` through [`timed`]; asserts
 /// state and snapshot hashes are identical across every run. Returns
 /// per-mode (mode, wall, stats) and each repeat's wall ratio.
 fn compare(src: &str, cycles: u64, repeats: usize) -> (Vec<(ExecMode, f64, ExecStats)>, Vec<f64>) {
     let mut reference: Option<(u64, u64)> = None;
-    let (best, ratios) = interleaved(repeats, |mode| {
+    let (best, ratios) = interleaved(repeats, MODES, |mode| {
         let (wall, state, snap, s) = timed(src, mode, cycles);
         assert_eq!(
             *reference.get_or_insert((state, snap)),
@@ -367,7 +341,7 @@ fn main() {
     ] {
         let mcds = mcds.unwrap_or_else(|| McdsConfig::program_trace(w.cores()));
         let mut want = None;
-        let (best, _) = interleaved(repeats, |mode| {
+        let (best, _) = interleaved(repeats, MODES, |mode| {
             let (cycles, wall, hash, s, trace) =
                 session_run(w, Some(mcds.clone()), mode, session_cycles, quantum, false);
             let decoded = StreamDecoder::new(trace.clone())
@@ -458,7 +432,7 @@ fn main() {
         (Workload::RaceBuggy, true),
     ] {
         let mut want = None;
-        let (best, _) = interleaved(repeats, |mode| {
+        let (best, _) = interleaved(repeats, MODES, |mode| {
             let (cycles, wall, hash, s, _) =
                 session_run(w, None, mode, session_cycles, quantum, halts);
             assert_eq!(

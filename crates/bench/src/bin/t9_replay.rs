@@ -22,7 +22,7 @@
 //! Run with `--smoke` for a short CI-friendly pass (same pipeline and
 //! assertions, shorter run).
 
-use mcds_bench::{print_table, tracing_config, write_telemetry_artifacts, BenchArgs};
+use mcds_bench::{interleaved, print_table, tracing_config, write_telemetry_artifacts, BenchArgs};
 use mcds_host::TimeTravel;
 use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
 use mcds_replay::{
@@ -177,7 +177,7 @@ fn main() {
         let start = Instant::now();
         let cp = Checkpoint::capture(tt.device());
         capture_wall = capture_wall.min(start.elapsed().as_secs_f64());
-        state_bytes = cp.snapshot().components()[0].bytes().len();
+        state_bytes = cp.snapshot().components()[0].stored_bytes();
     }
     println!(
         "checkpoint capture at cycle {}: {:.2} ms (best of 5), device-state JSON {} bytes",
@@ -192,16 +192,29 @@ fn main() {
         .components()
         .iter()
         .map(|c| {
+            let (size, pages) = c
+                .memory_pages()
+                .map_or(("-".to_string(), "-".to_string()), |(size, pages)| {
+                    (size.to_string(), pages.to_string())
+                });
             vec![
                 c.name().to_string(),
-                c.bytes().len().to_string(),
+                size,
+                pages,
+                c.stored_bytes().to_string(),
                 format!("{:#018x}", c.hash()),
             ]
         })
         .collect();
     print_table(
         &format!("T9b: snapshot size at cycle {}", snap.cycle()),
-        &["component", "bytes", "content hash"],
+        &[
+            "component",
+            "image bytes",
+            "pages listed",
+            "stored bytes",
+            "content hash",
+        ],
         &rows,
     );
     let json = serde_json::to_string(snap).expect("snapshot serializes");
@@ -249,35 +262,36 @@ fn main() {
     );
 
     // --- T9d: seek via checkpoints vs re-execution from reset. ----------
-    // Best-of-3 on both paths: single-sample wall times are noisy on
-    // loaded CI hosts and this is a ratio of two of them.
+    // Best-of-3 on both paths, alternating within each repeat: single
+    // wall times are noisy on loaded CI hosts and this is a ratio of two.
     let target = run_cycles * 3 / 4 + 1017;
-    let mut seek_wall = f64::MAX;
-    let mut seek_hash = 0;
-    for _ in 0..3 {
-        // Reposition past the target so the backward seek always takes
-        // the checkpoint-restore path (forward seeks run incrementally).
-        tt.run_to_cycle(run_cycles);
-        let start = Instant::now();
-        tt.seek(target).expect("target within recorded history");
-        seek_wall = seek_wall.min(start.elapsed().as_secs_f64());
-        assert_eq!(tt.cycle(), target);
-        seek_hash = device_state_hash(tt.device());
-    }
-
-    let mut reset_wall = f64::MAX;
-    for _ in 0..3 {
-        let mut from_reset = gearbox_device();
-        let mut rep = Replayer::new(&log);
-        let start = Instant::now();
-        mcds_replay::run_with_events(&mut from_reset, &mut rep, target);
-        reset_wall = reset_wall.min(start.elapsed().as_secs_f64());
+    let mut want = None;
+    let (best, _) = interleaved(3, [false, true], |from_reset| {
+        let (wall, hash) = if from_reset {
+            let mut dev = gearbox_device();
+            let mut rep = Replayer::new(&log);
+            let start = Instant::now();
+            mcds_replay::run_with_events(&mut dev, &mut rep, target);
+            (start.elapsed().as_secs_f64(), device_state_hash(&dev))
+        } else {
+            // Reposition past the target so the backward seek always
+            // takes the checkpoint-restore path (forward seeks run
+            // incrementally).
+            tt.run_to_cycle(run_cycles);
+            let start = Instant::now();
+            tt.seek(target).expect("target within recorded history");
+            let wall = start.elapsed().as_secs_f64();
+            assert_eq!(tt.cycle(), target);
+            (wall, device_state_hash(tt.device()))
+        };
         assert_eq!(
-            device_state_hash(&from_reset),
-            seek_hash,
+            *want.get_or_insert(hash),
+            hash,
             "seek and from-reset replay must agree"
         );
-    }
+        (wall, ())
+    });
+    let (seek_wall, reset_wall) = (best[0].0, best[1].0);
     let speedup = reset_wall / seek_wall.max(1e-9);
     print_table(
         &format!("T9d: seek to cycle {target}"),

@@ -199,6 +199,34 @@ pub fn data_write_order(records: &[CycleRecord]) -> Vec<(u64, CoreId, u32, u32)>
     out
 }
 
+/// Best-of-`repeats` wall time for each of two arms, the arms alternating
+/// within each repeat (a, b, a, b, ...) so that a speed phase of a shared
+/// host slows both alike. `run` returns one run's wall seconds and result;
+/// each arm keeps its fastest run's (wall, result), in `arms` order. Also
+/// returns each repeat's arm-0 / arm-1 wall ratio. The one ratio estimator
+/// of every two-arm wall-time gate (T9d, T15a, T16).
+pub fn interleaved<A: Copy, T>(
+    repeats: usize,
+    arms: [A; 2],
+    mut run: impl FnMut(A) -> (f64, T),
+) -> (Vec<(f64, T)>, Vec<f64>) {
+    let mut best: [Option<(f64, T)>; 2] = [None, None];
+    let mut ratios = Vec::new();
+    for _ in 0..repeats {
+        let mut walls = [0.0; 2];
+        for (k, arm) in arms.into_iter().enumerate() {
+            let (wall, out) = run(arm);
+            walls[k] = wall;
+            if best[k].as_ref().is_none_or(|(b, _)| wall < *b) {
+                best[k] = Some((wall, out));
+            }
+        }
+        ratios.push(walls[0] / walls[1]);
+    }
+    let best = best.map(|b| b.expect("at least one repeat"));
+    (best.into(), ratios)
+}
+
 /// Formats a cycle count as engineering time at the 150 MHz system clock.
 pub fn cycles_to_time(cycles: u64) -> String {
     let ns = mcds_soc::memmap::cycles_to_ns(cycles);

@@ -798,7 +798,7 @@ mod tests {
 
     #[test]
     fn damaged_eviction_files_are_typed_errors() {
-        use mcds_replay::fnv1a64;
+        use mcds_soc::mem::{PagedBytes, PAGE_SIZE};
         let farm = Farm::new(
             FarmConfig {
                 evict_dir: std::env::temp_dir()
@@ -814,44 +814,85 @@ mod tests {
         let bystander_hash = s.state_hash();
         farm.checkin(bystander, s, ran);
 
-        let s = farm.checkout(victim).unwrap();
-        let sram = s.snapshot().soc.component("soc/sram").unwrap().clone();
-        farm.checkin(victim, s, 0);
+        let mut s = farm.checkout(victim).unwrap();
+        let ran = s.run(20_000).ran;
+        let sram = s.debugger().device().soc().sram().bytes().to_vec();
+        let sram_hash = s.snapshot().soc.component("soc/sram").unwrap().hash();
+        farm.checkin(victim, s, ran);
         farm.evict(victim).unwrap();
         let path = farm.config.evict_dir.join(format!("session_{victim}.json"));
         let good = std::fs::read_to_string(&path).unwrap();
-        let marker = "\"name\":\"soc/sram\"";
-        let sram_at = good.find(marker).unwrap();
-        let key = "\"bytes\":\"";
-        let hex_at = sram_at + good[sram_at..].find(key).unwrap() + key.len();
-        let with_digit = |digit: u8| {
-            let mut damaged = good.clone().into_bytes();
-            damaged[hex_at + 10] = digit;
-            String::from_utf8(damaged).unwrap()
-        };
+
+        // The SRAM component, `{"name":"soc/sram","hash":..,"size":..,
+        // "pages":[{"index":..,"hex":".."},..]}`, and its first page.
+        let head = format!(
+            "\"name\":\"soc/sram\",\"hash\":{sram_hash},\"size\":{},",
+            sram.len()
+        );
+        let sram_at = good.find(&head).unwrap();
+        let page_key = "\"pages\":[{\"index\":";
+        let page_at =
+            sram_at + good[sram_at..].find(page_key).expect("a listed page") + "\"pages\":[".len();
+        let page_end = page_at + good[page_at..].find('}').unwrap() + 1;
+        let page = &good[page_at..page_end];
+        let index_at = page_at + "{\"index\":".len();
+        let index_end = index_at + good[index_at..].find(',').unwrap();
+        let hex_at = index_end + ",\"hex\":\"".len();
+        let splice =
+            |at: usize, end: usize, with: &str| format!("{}{with}{}", &good[..at], &good[end..]);
         let swapped = if good.as_bytes()[hex_at + 10] == b'7' {
-            b'8'
+            "8"
         } else {
-            b'7'
+            "7"
         };
-        // A one-byte-short SRAM image under a recomputed hash passes the
+        // An image one page larger under a recomputed hash passes the
         // integrity check and must be caught before it reaches the device.
-        let short = format!("{}{}", &good[..hex_at], &good[hex_at + 2..]).replacen(
-            &format!("{marker},\"hash\":{},", sram.hash()),
-            &format!("{marker},\"hash\":{},", fnv1a64(&sram.bytes()[1..])),
+        let mut larger = PagedBytes::new(sram.len() + PAGE_SIZE, 0);
+        larger.write(0, &sram);
+        let oversized = good.replacen(
+            &head,
+            &format!(
+                "\"name\":\"soc/sram\",\"hash\":{},\"size\":{},",
+                larger.hash(),
+                larger.len()
+            ),
             1,
         );
         let damages = [
-            ("swapped digit", with_digit(swapped), "snapshot corrupt"),
-            ("non-hex digit", with_digit(b'x'), "snapshot parse failed"),
+            (
+                "swapped digit",
+                splice(hex_at + 10, hex_at + 11, swapped),
+                "snapshot corrupt",
+            ),
+            (
+                "non-hex digit",
+                splice(hex_at + 10, hex_at + 11, "x"),
+                "snapshot parse failed",
+            ),
+            (
+                "page index past the end",
+                splice(index_at, index_end, &(sram.len() / PAGE_SIZE).to_string()),
+                "snapshot corrupt",
+            ),
+            (
+                "short page",
+                splice(hex_at, hex_at + 2, ""),
+                "snapshot corrupt",
+            ),
+            (
+                "duplicate page",
+                splice(page_end, page_end, &format!(",{page}")),
+                "snapshot corrupt",
+            ),
             (
                 "truncated file",
                 good[..good.len() / 2].to_string(),
                 "snapshot parse failed",
             ),
-            ("short image", short, "snapshot resume failed"),
+            ("oversized image", oversized, "snapshot resume failed"),
         ];
         for (what, damaged, reason) in damages {
+            assert_ne!(damaged, good, "{what}: the file is damaged");
             std::fs::write(&path, damaged).unwrap();
             let err = farm.checkout(victim).unwrap_err();
             assert_eq!(err.code, ERR_SNAPSHOT, "{what}: {}", err.message);
@@ -859,13 +900,20 @@ mod tests {
             let infos = farm.list();
             let info = infos.iter().find(|i| i.id == victim).unwrap();
             assert_eq!(info.state, "evicted", "{what}: the record stays");
+            let s = farm.checkout(bystander).unwrap();
+            assert_eq!(
+                s.state_hash(),
+                bystander_hash,
+                "{what}: the bystander is untouched"
+            );
+            farm.checkin(bystander, s, 0);
         }
 
-        let s = farm.checkout(bystander).unwrap();
-        assert_eq!(s.state_hash(), bystander_hash, "the bystander is untouched");
-        farm.checkin(bystander, s, 0);
+        std::fs::write(&path, &good).unwrap();
+        let s = farm.checkout(victim).expect("the undamaged file revives");
+        farm.checkin(victim, s, 0);
         farm.destroy(victim).unwrap();
-        assert!(!path.exists(), "destroy removes the damaged file");
+        assert!(!path.exists(), "destroy removes the evicted file");
         farm.destroy(bystander).unwrap();
     }
 

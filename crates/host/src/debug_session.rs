@@ -29,7 +29,7 @@ use mcds_xcp::XcpMaster;
 
 /// Session snapshot format version; bump on any incompatible change to
 /// [`SessionSnapshot`]'s layout.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
+pub const SESSION_SNAPSHOT_VERSION: u32 = 3;
 
 /// Everything needed to revive a suspended session on a structurally
 /// identical device: the debugger book-keeping, the device snapshot, and

@@ -124,11 +124,6 @@ impl TimeTravel {
         &mut self.dev
     }
 
-    /// Consumes the session, returning the device in its current state.
-    pub fn into_device(self) -> Device {
-        self.dev
-    }
-
     /// The device's current cycle.
     pub fn cycle(&self) -> u64 {
         self.dev.soc().cycle()

@@ -174,14 +174,23 @@ impl TraceSink {
                 self.stopped = true;
                 break;
             }
-            for &b in bytes {
+            // Store in runs that stay inside one segment and stop at the
+            // wrap point.
+            let mut rest = bytes;
+            while !rest.is_empty() {
                 if self.write_offset == self.capacity {
                     self.write_offset = 0;
                     self.wrapped = true;
                 }
-                let off = self.emem_offset(self.write_offset);
-                emem.bytes_mut()[off] = b;
-                self.write_offset += 1;
+                let seg_left =
+                    EMEM_SEGMENT_SIZE as usize - self.write_offset % EMEM_SEGMENT_SIZE as usize;
+                let n = rest
+                    .len()
+                    .min(seg_left)
+                    .min(self.capacity - self.write_offset);
+                emem.write_bytes(self.emem_offset(self.write_offset), &rest[..n]);
+                self.write_offset += n;
+                rest = &rest[n..];
             }
             self.bytes_written += bytes.len() as u64;
             stored += 1;

@@ -16,11 +16,9 @@ pub struct Checkpoint {
     retired: Vec<u64>,
     snapshot: SocSnapshot,
     /// The snapshot's device state, kept parsed: a seek restores it
-    /// without parsing the snapshot's JSON, which costs more than copying
-    /// the memory images.
+    /// without parsing the snapshot's JSON, which costs more than writing
+    /// the memory pages back.
     state: DeviceState,
-    /// The flash generation at capture ([`mcds_soc::mem::Flash::generation`]).
-    flash_generation: u64,
 }
 
 impl Checkpoint {
@@ -35,7 +33,6 @@ impl Checkpoint {
             retired,
             snapshot,
             state,
-            flash_generation: dev.soc().mapper().flash().generation(),
         }
     }
 
@@ -54,13 +51,9 @@ impl Checkpoint {
         &self.snapshot
     }
 
-    /// Restores the checkpoint onto a structurally identical device. A
-    /// flash still at the captured generation (the usual case: time travel
-    /// on the device the checkpoint came from, flash not reprogrammed
-    /// since) already holds the captured image and is not rewritten.
+    /// Restores the checkpoint onto a structurally identical device.
     pub fn restore_into(&self, dev: &mut Device) {
-        let flash = dev.soc().mapper().flash().generation() != self.flash_generation;
-        self.snapshot.restore_with(dev, Some(&self.state), flash);
+        self.snapshot.restore_with(dev, Some(&self.state));
     }
 }
 
@@ -193,14 +186,6 @@ impl CheckpointRing {
             .rev()
             .find(|cp| cp.retired().get(core).is_some_and(|&r| r <= target))
     }
-
-    /// Drops every checkpoint newer than `cycle` (after a backward seek,
-    /// stale future checkpoints must not satisfy later lookups).
-    pub fn truncate_after(&mut self, cycle: u64) {
-        while self.entries.back().is_some_and(|cp| cp.cycle() > cycle) {
-            self.entries.pop_back();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -290,35 +275,36 @@ mod tests {
     }
 
     #[test]
-    fn restore_rewrites_flash_only_after_it_changed() {
+    fn restore_gives_back_the_captured_flash() {
         let mut dev = counting_device();
         dev.run_cycles(1_000);
         let cp = Checkpoint::capture(&dev);
         let want = device_state_hash(&dev);
+        let flash = dev.soc().mapper().flash().bytes().to_vec();
 
-        // Unchanged flash: the restore leaves it (and its generation) alone.
+        // Unchanged flash: the restore leaves it byte-identical.
         dev.run_cycles(1_000);
-        let generation = dev.soc().mapper().flash().generation();
         cp.restore_into(&mut dev);
-        assert_eq!(dev.soc().mapper().flash().generation(), generation);
+        assert_eq!(dev.soc().mapper().flash().bytes(), flash.as_slice());
         assert_eq!(device_state_hash(&dev), want);
 
-        // Reprogrammed flash: the restore writes the captured image back.
-        dev.soc_mut()
-            .mapper_mut()
-            .flash_mut()
-            .program(0x100, &[0xAB; 16]);
+        // Erased and reprogrammed flash: the restore writes the captured
+        // bytes back, the program's page included.
+        let reprogram = |dev: &mut Device, byte| {
+            let flash = dev.soc_mut().mapper_mut().flash_mut();
+            flash.erase(0, 0x1000);
+            flash.program(0x2100, &[byte; 16]);
+        };
+        reprogram(&mut dev, 0xAB);
         cp.restore_into(&mut dev);
+        assert_eq!(dev.soc().mapper().flash().bytes(), flash.as_slice());
         assert_eq!(device_state_hash(&dev), want);
 
-        // A different device never shares a generation.
+        // So does a restore onto another, differently programmed device.
         let mut other = counting_device();
-        other
-            .soc_mut()
-            .mapper_mut()
-            .flash_mut()
-            .program(0x100, &[0xCD; 16]);
+        reprogram(&mut other, 0xCD);
         cp.restore_into(&mut other);
+        assert_eq!(other.soc().mapper().flash().bytes(), flash.as_slice());
         assert_eq!(device_state_hash(&other), want);
     }
 }

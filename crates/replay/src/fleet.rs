@@ -23,7 +23,7 @@ use crate::SNAPSHOT_VERSION;
 use std::path::Path;
 
 /// Fleet snapshot format version; bump on incompatible layout changes.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 3;
+pub const FLEET_SNAPSHOT_VERSION: u32 = 4;
 
 /// Name under which the fabric blob is hashed and reported.
 const FABRIC: &str = "fleet/fabric";

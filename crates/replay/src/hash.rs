@@ -2,30 +2,14 @@
 //!
 //! FNV-1a is used throughout: it is tiny, dependency-free and fully
 //! deterministic across platforms, which is all a replay checker needs —
-//! these hashes detect divergence, they are not cryptographic.
+//! these hashes detect divergence, they are not cryptographic. The
+//! primitive lives in `mcds_soc::mem`, whose page summaries cache page
+//! hashes with it, and is re-exported here.
 
 use mcds_psi::Device;
 use std::fmt;
 
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Hashes a byte slice with 64-bit FNV-1a.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    extend_fnv1a64(FNV_OFFSET, bytes)
-}
-
-/// Folds more bytes into a running FNV-1a hash.
-pub fn extend_fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+pub use mcds_soc::mem::{extend_fnv1a64, fnv1a64};
 
 /// A [`fmt::Write`] sink that folds everything written into a running
 /// FNV-1a hash: `write!(w, ...)` then [`Fnv1aWriter::finish`] equals
@@ -37,7 +21,7 @@ pub struct Fnv1aWriter(u64);
 impl Fnv1aWriter {
     /// A writer over the empty input.
     pub fn new() -> Fnv1aWriter {
-        Fnv1aWriter(FNV_OFFSET)
+        Fnv1aWriter(fnv1a64(&[]))
     }
 
     /// The hash of everything written so far.
@@ -63,24 +47,27 @@ impl fmt::Write for Fnv1aWriter {
 /// hash in order. Device snapshots fold their components with it, fleets
 /// their members.
 pub(crate) fn fold_parts<'a>(cycle: u64, parts: impl IntoIterator<Item = (&'a str, u64)>) -> u64 {
-    parts.into_iter().fold(
-        extend_fnv1a64(FNV_OFFSET, &cycle.to_le_bytes()),
-        |h, (name, hash)| extend_fnv1a64(extend_fnv1a64(h, name.as_bytes()), &hash.to_le_bytes()),
-    )
+    parts
+        .into_iter()
+        .fold(fnv1a64(&cycle.to_le_bytes()), |h, (name, hash)| {
+            extend_fnv1a64(extend_fnv1a64(h, name.as_bytes()), &hash.to_le_bytes())
+        })
 }
 
 /// Hashes a device's complete architectural state: the serialized runtime
 /// state (CPU registers and pipeline, bus, MCDS, sink, links, service core)
-/// plus every fitted memory image, folded exactly as
+/// plus every fitted memory, folded exactly as
 /// [`crate::SocSnapshot::state_hash`] folds a snapshot's components — so
 /// `device_state_hash(dev) == SocSnapshot::capture(dev).state_hash()`,
-/// without copying any memory.
+/// without copying any memory. A memory's hash folds its page hashes
+/// ([`mcds_soc::mem::PagedBytes::hash`]), so the cost is one serialization
+/// of the runtime state plus O(pages changed since the last hash × 4 KiB).
 ///
 /// Two devices with equal hashes are observably indistinguishable; replay
 /// verification compares this hash between the original and re-executed run.
 pub fn device_state_hash(dev: &Device) -> u64 {
     let mut parts = Vec::with_capacity(4);
-    crate::snapshot::walk(dev, |name, bytes| parts.push((name, fnv1a64(bytes))));
+    crate::snapshot::walk(dev, |name, part| parts.push((name, part.hash())));
     fold_parts(dev.soc().cycle(), parts)
 }
 

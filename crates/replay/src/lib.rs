@@ -9,9 +9,10 @@
 //! flow would:
 //!
 //! * [`snapshot`] — versioned, content-hashed snapshots of the whole
-//!   device ([`SocSnapshot`]): structured runtime state plus raw memory
-//!   images, one `{name, hash, bytes}` component each, written to disk
-//!   atomically ([`write_json_atomic`]);
+//!   device ([`SocSnapshot`]): the structured runtime state plus one
+//!   sparse page image per memory (the 4 KiB pages off their reset
+//!   value), each a hashed component, written to disk atomically
+//!   ([`write_json_atomic`]);
 //! * [`log`] — the record-replay input log ([`InputLog`]): every
 //!   nondeterministic input (sensor stimulus, trigger pins, link fault
 //!   plans, host debug commands) stamped with its apply cycle, so

@@ -21,7 +21,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Artifact format version; bumped on incompatible layout changes.
-pub const REPRO_VERSION: u32 = 3;
+pub const REPRO_VERSION: u32 = 4;
 
 /// A serializable, replayable description of one failing run.
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone)]

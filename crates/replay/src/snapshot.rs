@@ -1,25 +1,31 @@
 //! Versioned device snapshots with per-component content hashes.
 //!
-//! A [`SocSnapshot`] is a list of named [`Component`]s, each
-//! `{name, hash, bytes}`, in the order of one walk over the device:
+//! A [`SocSnapshot`] is a list of named [`Component`]s in the order of one
+//! walk over the device:
 //!
 //! * `device/state` — the serialized [`mcds_psi::DeviceState`]: CPU
 //!   registers and pipelines, bus arbiter and in-flight transactions, DMA,
 //!   overlay mapper, peripherals, MCDS trigger/trace units, cross-trigger
 //!   matrix, FIFOs, trace sink, link statistics, service core and fault
-//!   injectors;
-//! * `soc/flash`, `soc/sram`, `soc/emem` — the raw image of every fitted
-//!   memory, kept apart from the structured state so the megabyte-class
-//!   memories are borrowed and hashed as bytes, never serialized as state.
+//!   injectors, kept as `{name, hash, bytes}` with the JSON as hex;
+//! * `soc/flash`, `soc/sram`, `soc/emem` — every fitted memory as a
+//!   sparse page image `{name, hash, size, pages: [{index, hex}]}`: only
+//!   the 4 KiB pages that differ from the memory's reset value (erased
+//!   flash, zeroed RAM) are listed. A session touches a few of a device's
+//!   ~700 pages, so a snapshot is tens of kilobytes, not megabytes.
 //!
-//! Every component carries an FNV-1a hash of its bytes, computed at
-//! capture time and re-checked at load. The same walk feeds
-//! [`crate::device_state_hash`], which folds the hashes exactly as
-//! [`SocSnapshot::state_hash`] does: a device and its snapshot hash equal
-//! by construction.
+//! Every component carries a hash computed at capture time and re-checked
+//! at load: FNV-1a of the state bytes, or for a memory the fold of its
+//! page hashes ([`mcds_soc::mem::fold_page_hashes`]), where an unlisted
+//! page hashes as the reset-page constant. The device side keeps the same
+//! page hashes cached in each memory's page summary
+//! ([`mcds_soc::mem::PagedBytes`]), and [`crate::device_state_hash`]
+//! folds them exactly as [`SocSnapshot::state_hash`] folds the components:
+//! a device and its snapshot hash equal by construction.
 
 use crate::hash::{fnv1a64, fold_parts};
 use mcds_psi::{Device, DeviceState};
+use mcds_soc::mem::{fold_page_hashes, page_count, page_len, reset_page_hash, PagedBytes};
 use mcds_soc::soc::MemoryId;
 use std::fmt;
 use std::io;
@@ -27,7 +33,7 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot format version; bump on any incompatible change to the
 /// component set or encodings.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Name of the structured-state component.
 const DEVICE_STATE: &str = "device/state";
@@ -40,20 +46,43 @@ const MEMORIES: [(&str, MemoryId); 3] = [
     ("soc/emem", MemoryId::Emem),
 ];
 
+/// The memory a component name stands for, if it names one.
+fn memory_id(name: &str) -> Option<MemoryId> {
+    MEMORIES.iter().find(|(n, _)| *n == name).map(|&(_, id)| id)
+}
+
+/// One piece of device state handed out by [`walk`].
+pub(crate) enum Part<'a> {
+    /// The serialized device state.
+    State(&'a [u8]),
+    /// A fitted memory, with its page summary.
+    Memory(&'a PagedBytes),
+}
+
+impl Part<'_> {
+    /// The part's content hash, as its snapshot component records it.
+    pub(crate) fn hash(&self) -> u64 {
+        match self {
+            Part::State(bytes) => fnv1a64(bytes),
+            Part::Memory(memory) => memory.hash(),
+        }
+    }
+}
+
 /// Visits the device's snapshot components in canonical order — the
 /// serialized `device/state`, then each fitted memory, borrowed — handing
-/// each name and its bytes to `visit`.
-pub(crate) fn walk(dev: &Device, visit: impl FnMut(&'static str, &[u8])) {
+/// each name and part to `visit`.
+pub(crate) fn walk(dev: &Device, visit: impl FnMut(&'static str, Part<'_>)) {
     walk_with(dev, &dev.save_state(), visit);
 }
 
 /// [`walk`] with the device's state already saved as `state`.
-fn walk_with(dev: &Device, state: &DeviceState, mut visit: impl FnMut(&'static str, &[u8])) {
+fn walk_with(dev: &Device, state: &DeviceState, mut visit: impl FnMut(&'static str, Part<'_>)) {
     let state = serde_json::to_string(state).expect("device state serializes infallibly");
-    visit(DEVICE_STATE, state.as_bytes());
+    visit(DEVICE_STATE, Part::State(state.as_bytes()));
     for (name, id) in MEMORIES {
-        if let Some(image) = dev.soc().memory_image(id) {
-            visit(name, image);
+        if let Some(memory) = dev.soc().memory(id) {
+            visit(name, Part::Memory(memory));
         }
     }
 }
@@ -155,15 +184,26 @@ pub enum SnapshotIoError {
         found: u64,
     },
     /// A memory component does not fit the device it is restored onto:
-    /// its length differs from the fitted memory's, or the memory is not
+    /// its size differs from the fitted memory's, or the memory is not
     /// fitted.
     Misfit {
         /// Name of the memory component.
         component: String,
         /// Size of the device's memory (0 when not fitted).
         expected: usize,
-        /// Length of the component's image.
+        /// Size of the component's image.
         found: usize,
+    },
+    /// A memory component's page list is malformed: a page index lies
+    /// past the image's end or does not ascend, or a page has the wrong
+    /// length. A capture never writes one.
+    BadPage {
+        /// Name of the memory component.
+        component: String,
+        /// Index of the offending page.
+        index: usize,
+        /// What is wrong with it.
+        problem: String,
     },
 }
 
@@ -197,6 +237,11 @@ impl fmt::Display for SnapshotIoError {
                 "snapshot component {component} holds {found} bytes, the device's memory \
                  {expected}"
             ),
+            SnapshotIoError::BadPage {
+                component,
+                index,
+                problem,
+            } => write!(f, "snapshot component {component} page {index} {problem}"),
         }
     }
 }
@@ -208,27 +253,63 @@ impl std::error::Error for SnapshotIoError {
             SnapshotIoError::Json { source, .. } => Some(source),
             SnapshotIoError::Version { .. }
             | SnapshotIoError::Corrupt { .. }
-            | SnapshotIoError::Misfit { .. } => None,
+            | SnapshotIoError::Misfit { .. }
+            | SnapshotIoError::BadPage { .. } => None,
         }
     }
 }
 
-/// One named, hashed piece of device state: its bytes and their FNV-1a
-/// hash. Serialized as `{name, hash, bytes}` with the bytes as one
-/// lowercase hex string.
+/// One named, hashed piece of device state, serialized as
+/// `{name, hash, bytes}` (the device state, bytes as one lowercase hex
+/// string) or `{name, hash, size, pages: [{index, hex}]}` (a memory).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     name: String,
     hash: u64,
-    bytes: Vec<u8>,
+    contents: Contents,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Contents {
+    /// The serialized device state.
+    Bytes(Vec<u8>),
+    /// A memory image of `size` bytes: the pages that differ from the
+    /// memory's reset value, `(index, bytes)`, by ascending index.
+    Pages {
+        size: usize,
+        pages: Vec<(usize, Vec<u8>)>,
+    },
 }
 
 impl Component {
-    fn new(name: &str, bytes: Vec<u8>) -> Component {
+    fn state(bytes: Vec<u8>) -> Component {
+        Component {
+            name: DEVICE_STATE.to_string(),
+            hash: fnv1a64(&bytes),
+            contents: Contents::Bytes(bytes),
+        }
+    }
+
+    /// A copy of `memory`'s pages that differ from reset, hashed by the
+    /// same fold as [`PagedBytes::hash`].
+    fn memory(name: &str, memory: &PagedBytes) -> Component {
+        let mut pages = Vec::new();
+        let hash = fold_page_hashes(
+            memory.len(),
+            memory.pages().map(|page| {
+                if let Some(bytes) = page.bytes {
+                    pages.push((page.index, bytes.to_vec()));
+                }
+                page.hash
+            }),
+        );
         Component {
             name: name.to_string(),
-            hash: fnv1a64(&bytes),
-            bytes,
+            hash,
+            contents: Contents::Pages {
+                size: memory.len(),
+                pages,
+            },
         }
     }
 
@@ -237,39 +318,167 @@ impl Component {
         &self.name
     }
 
-    /// FNV-1a hash of the component's bytes, recorded at capture time.
+    /// The component's content hash, recorded at capture time.
     pub fn hash(&self) -> u64 {
         self.hash
     }
 
-    /// The component's contents.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The device-state bytes, or `None` for a memory component.
+    pub fn state_bytes(&self) -> Option<&[u8]> {
+        match &self.contents {
+            Contents::Bytes(bytes) => Some(bytes),
+            Contents::Pages { .. } => None,
+        }
+    }
+
+    /// A memory component's image size and listed page count, or `None`
+    /// for the device state.
+    pub fn memory_pages(&self) -> Option<(usize, usize)> {
+        match &self.contents {
+            Contents::Bytes(_) => None,
+            Contents::Pages { size, pages } => Some((*size, pages.len())),
+        }
+    }
+
+    /// Bytes the component holds: the state bytes, or the listed pages.
+    pub fn stored_bytes(&self) -> usize {
+        match &self.contents {
+            Contents::Bytes(bytes) => bytes.len(),
+            Contents::Pages { pages, .. } => pages.iter().map(|(_, p)| p.len()).sum(),
+        }
+    }
+
+    /// Checks a memory component's page list: indices ascend and lie
+    /// inside the image, and every page has its full length (the last one
+    /// may be short).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotIoError::BadPage`] naming the first bad page.
+    fn check_pages(&self) -> Result<(), SnapshotIoError> {
+        let Contents::Pages { size, pages } = &self.contents else {
+            return Ok(());
+        };
+        let mut next = 0;
+        for (index, bytes) in pages {
+            let problem = if *index >= page_count(*size) {
+                format!("lies past the {}-page image", page_count(*size))
+            } else if *index < next {
+                "repeats or is out of order".to_string()
+            } else if bytes.len() != page_len(*size, *index) {
+                format!(
+                    "holds {} bytes, not {}",
+                    bytes.len(),
+                    page_len(*size, *index)
+                )
+            } else {
+                next = index + 1;
+                continue;
+            };
+            return Err(SnapshotIoError::BadPage {
+                component: self.name.clone(),
+                index: *index,
+                problem,
+            });
+        }
+        Ok(())
+    }
+
+    /// Recomputes the content hash from the contents. A memory component
+    /// must have passed [`Component::check_pages`].
+    fn recompute_hash(&self) -> u64 {
+        match &self.contents {
+            Contents::Bytes(bytes) => fnv1a64(bytes),
+            Contents::Pages { size, pages } => {
+                let reset = memory_id(&self.name)
+                    .expect("memory components name a memory")
+                    .reset_value();
+                let mut listed = pages.iter().peekable();
+                fold_page_hashes(
+                    *size,
+                    (0..page_count(*size)).map(|index| {
+                        match listed.next_if(|(i, _)| *i == index) {
+                            Some((_, bytes)) => fnv1a64(bytes),
+                            None => reset_page_hash(reset, page_len(*size, index)),
+                        }
+                    }),
+                )
+            }
+        }
     }
 }
 
 impl serde::Serialize for Component {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
+        let mut fields = vec![
             ("name".to_string(), self.name.to_value()),
             ("hash".to_string(), self.hash.to_value()),
-            (
-                "bytes".to_string(),
-                serde::Value::Str(hex_encode(&self.bytes)),
-            ),
-        ])
+        ];
+        match &self.contents {
+            Contents::Bytes(bytes) => {
+                fields.push(("bytes".to_string(), serde::Value::Str(hex_encode(bytes))))
+            }
+            Contents::Pages { size, pages } => {
+                fields.push(("size".to_string(), size.to_value()));
+                let pages = pages
+                    .iter()
+                    .map(|(index, bytes)| {
+                        serde::Value::Map(vec![
+                            ("index".to_string(), index.to_value()),
+                            ("hex".to_string(), serde::Value::Str(hex_encode(bytes))),
+                        ])
+                    })
+                    .collect();
+                fields.push(("pages".to_string(), serde::Value::Seq(pages)));
+            }
+        }
+        serde::Value::Map(fields)
     }
+}
+
+/// The bytes of a hex string field.
+fn hex_field(v: &serde::Value, key: &str) -> Result<Vec<u8>, serde::Error> {
+    let serde::Value::Str(hex) = serde::map_get(v, key)? else {
+        return Err(serde::Error::msg(format!(
+            "component {key} must be a hex string"
+        )));
+    };
+    hex_decode(hex)
 }
 
 impl serde::Deserialize for Component {
     fn from_value(v: &serde::Value) -> Result<Component, serde::Error> {
-        let serde::Value::Str(hex) = serde::map_get(v, "bytes")? else {
-            return Err(serde::Error::msg("component bytes must be a hex string"));
+        let name = String::from_value(serde::map_get(v, "name")?)?;
+        let contents = if name == DEVICE_STATE {
+            Contents::Bytes(hex_field(v, "bytes")?)
+        } else if memory_id(&name).is_some() {
+            let pages = serde::seq_items(serde::map_get(v, "pages")?)?
+                .iter()
+                .map(|page| {
+                    Ok((
+                        usize::from_value(serde::map_get(page, "index")?)?,
+                        hex_field(page, "hex")?,
+                    ))
+                })
+                .collect::<Result<_, serde::Error>>()?;
+            // Verifying folds every page of the image, so bound the size
+            // a file can claim: no memory outgrows the 32-bit bus.
+            let size = usize::from_value(serde::map_get(v, "size")?)?;
+            if size as u64 > 1 << 32 {
+                return Err(serde::Error::msg(format!(
+                    "{name} size {size} exceeds the 32-bit address space"
+                )));
+            }
+            Contents::Pages { size, pages }
+        } else {
+            return Err(serde::Error::msg(format!(
+                "unknown snapshot component {name}"
+            )));
         };
         Ok(Component {
-            name: String::from_value(serde::map_get(v, "name")?)?,
+            name,
             hash: u64::from_value(serde::map_get(v, "hash")?)?,
-            bytes: hex_decode(hex)?,
+            contents,
         })
     }
 }
@@ -354,8 +563,11 @@ impl SocSnapshot {
         let span_t0 = dev.telemetry().map(|_| std::time::Instant::now());
         let state = dev.save_state();
         let mut components = Vec::with_capacity(1 + MEMORIES.len());
-        walk_with(dev, &state, |name, bytes| {
-            components.push(Component::new(name, bytes.to_vec()))
+        walk_with(dev, &state, |name, part| {
+            components.push(match part {
+                Part::State(bytes) => Component::state(bytes.to_vec()),
+                Part::Memory(memory) => Component::memory(name, memory),
+            })
         });
         let cycle = dev.soc().cycle();
         if let (Some(t0), Some(tel)) = (span_t0, dev.telemetry()) {
@@ -395,25 +607,29 @@ impl SocSnapshot {
     }
 
     /// Checks that every memory component fits `dev`: it names a fitted
-    /// memory of exactly its length. A snapshot that passes cannot make
-    /// [`SocSnapshot::restore_into`] panic on a memory image.
+    /// memory of exactly its size, and its page list is well formed. A
+    /// snapshot that passes cannot make [`SocSnapshot::restore_into`]
+    /// panic on a memory image.
     ///
     /// # Errors
     ///
     /// [`SnapshotIoError::Misfit`] naming the first memory that does not
-    /// fit.
+    /// fit, [`SnapshotIoError::BadPage`] the first malformed page.
     pub fn check_fits(&self, dev: &Device) -> Result<(), SnapshotIoError> {
         for (name, id) in MEMORIES {
             let Some(c) = self.component(name) else {
                 continue;
             };
-            match dev.soc().memory_image(id) {
-                Some(image) if image.len() == c.bytes.len() => {}
-                image => {
+            let Contents::Pages { size, .. } = c.contents else {
+                unreachable!("memory components hold pages");
+            };
+            match dev.soc().memory(id) {
+                Some(memory) if memory.len() == size => c.check_pages()?,
+                memory => {
                     return Err(SnapshotIoError::Misfit {
                         component: name.to_string(),
-                        expected: image.map_or(0, <[u8]>::len),
-                        found: c.bytes.len(),
+                        expected: memory.map_or(0, PagedBytes::len),
+                        found: size,
                     })
                 }
             }
@@ -423,24 +639,25 @@ impl SocSnapshot {
 
     /// Restores this snapshot onto a device built with the identical
     /// configuration: memory images first, then the structured runtime
-    /// state.
+    /// state. A memory gets its listed pages written and every other page
+    /// reset, skipping pages its summary already marks reset-valued, so a
+    /// restore costs O(pages + listed bytes).
     ///
     /// # Panics
     ///
     /// Panics if the format version is unknown, or the device's
     /// configuration does not structurally match (wrong core count, memory
     /// sizes, fitted options).
-    /// [`SocSnapshot::check_fits`] turns the memory-size cases into a
-    /// typed error first.
+    /// [`SocSnapshot::check_fits`] turns the memory cases into a typed
+    /// error first.
     pub fn restore_into(&self, dev: &mut Device) {
-        self.restore_with(dev, None, true);
+        self.restore_with(dev, None);
     }
 
     /// [`SocSnapshot::restore_into`], taking the device state from
     /// `parsed` (this snapshot's device-state component, already parsed)
-    /// instead of parsing the component's JSON, and leaving the flash
-    /// alone unless `flash`.
-    pub(crate) fn restore_with(&self, dev: &mut Device, parsed: Option<&DeviceState>, flash: bool) {
+    /// instead of parsing the component's JSON.
+    pub(crate) fn restore_with(&self, dev: &mut Device, parsed: Option<&DeviceState>) {
         assert_eq!(
             self.version, SNAPSHOT_VERSION,
             "unsupported snapshot version"
@@ -449,20 +666,28 @@ impl SocSnapshot {
         // span) survives the restore itself.
         let span_t0 = dev.telemetry().map(|_| std::time::Instant::now());
         for (name, id) in MEMORIES {
-            if id == MemoryId::Flash && !flash {
-                continue;
-            }
-            if let Some(c) = self.component(name) {
-                dev.soc_mut().restore_memory_image(id, &c.bytes);
+            if let Some(Component {
+                contents: Contents::Pages { size, pages },
+                ..
+            }) = self.component(name)
+            {
+                assert_eq!(
+                    dev.soc().memory(id).map(PagedBytes::len),
+                    Some(*size),
+                    "{name} size mismatch"
+                );
+                dev.soc_mut()
+                    .restore_memory_pages(id, pages.iter().map(|(i, b)| (*i, b.as_slice())));
             }
         }
         match parsed {
             Some(state) => dev.restore_state(state),
             None => {
-                let c = self
+                let bytes = self
                     .component(DEVICE_STATE)
+                    .and_then(Component::state_bytes)
                     .expect("snapshot has a device/state component");
-                let json = std::str::from_utf8(&c.bytes).expect("device state is UTF-8 JSON");
+                let json = std::str::from_utf8(bytes).expect("device state is UTF-8 JSON");
                 let state: DeviceState =
                     serde_json::from_str(json).expect("device state deserializes");
                 dev.restore_state(&state);
@@ -488,25 +713,31 @@ impl SocSnapshot {
         )
     }
 
-    /// An accounting size for the snapshot held in memory: content bytes
-    /// plus per-component framing (name and hash). This is what memory
-    /// budgets charge per resident snapshot; the JSON on disk is larger.
+    /// An accounting size for the snapshot held in memory: stored bytes
+    /// plus framing (name and hash per component, index per listed page).
+    /// This is what memory budgets charge per resident snapshot; the JSON
+    /// on disk is larger.
     pub fn size_bytes(&self) -> usize {
         self.components
             .iter()
-            .map(|c| c.name.len() + 8 + c.bytes.len())
+            .map(|c| {
+                c.name.len() + 8 + 8 * c.memory_pages().map_or(0, |(_, n)| n) + c.stored_bytes()
+            })
             .sum()
     }
 
-    /// Recomputes every component's content hash and checks it against the
-    /// hash recorded at capture time.
+    /// Checks every memory component's page list, then recomputes every
+    /// component's content hash and checks it against the hash recorded
+    /// at capture time.
     ///
     /// # Errors
     ///
-    /// [`SnapshotIoError::Corrupt`] naming the first failing component.
+    /// [`SnapshotIoError::BadPage`] naming the first malformed page, or
+    /// [`SnapshotIoError::Corrupt`] the first failing component.
     pub fn verify_integrity(&self) -> Result<(), SnapshotIoError> {
         for c in &self.components {
-            let found = fnv1a64(&c.bytes);
+            c.check_pages()?;
+            let found = c.recompute_hash();
             if found != c.hash {
                 return Err(SnapshotIoError::Corrupt {
                     component: c.name.clone(),
@@ -535,8 +766,8 @@ impl SocSnapshot {
     ///
     /// [`SnapshotIoError::Io`] / [`SnapshotIoError::Json`] on unreadable or
     /// malformed files, [`SnapshotIoError::Version`] on an incompatible
-    /// format, [`SnapshotIoError::Corrupt`] when contents fail their
-    /// recorded hash.
+    /// format, [`SnapshotIoError::BadPage`] on a malformed page list,
+    /// [`SnapshotIoError::Corrupt`] when contents fail their recorded hash.
     pub fn load(path: &Path) -> Result<SocSnapshot, SnapshotIoError> {
         let snap: SocSnapshot = read_json(path)?;
         check_version(snap.version, SNAPSHOT_VERSION)?;
@@ -549,15 +780,37 @@ impl SocSnapshot {
 mod tests {
     use super::*;
     use mcds_psi::device::{DeviceBuilder, DeviceVariant};
+    use mcds_soc::mem::PAGE_SIZE;
+
+    /// An SRAM-named memory of three and a bit pages with one page
+    /// written.
+    fn synthetic_memory() -> PagedBytes {
+        let mut memory = PagedBytes::new(3 * PAGE_SIZE + 100, 0);
+        let bytes: Vec<u8> = (0..512u32).map(|i| (i % 7) as u8).collect();
+        memory.write(PAGE_SIZE + 5, &bytes);
+        memory
+    }
 
     fn synthetic_snapshot() -> SocSnapshot {
         SocSnapshot {
             version: SNAPSHOT_VERSION,
             cycle: 1234,
             components: vec![
-                Component::new(DEVICE_STATE, b"{\"fake\":true}".to_vec()),
-                Component::new(MEMORIES[1].0, (0..512u32).map(|i| (i % 7) as u8).collect()),
+                Component::state(b"{\"fake\":true}".to_vec()),
+                Component::memory(MEMORIES[1].0, &synthetic_memory()),
             ],
+        }
+    }
+
+    /// A memory component's listed pages.
+    type PageList = Vec<(usize, Vec<u8>)>;
+
+    /// The size and listed pages of the synthetic snapshot's memory
+    /// component.
+    fn pages_mut(snap: &mut SocSnapshot) -> (&mut usize, &mut PageList) {
+        match &mut snap.components[1].contents {
+            Contents::Pages { size, pages } => (size, pages),
+            Contents::Bytes(_) => unreachable!(),
         }
     }
 
@@ -578,11 +831,34 @@ mod tests {
     }
 
     #[test]
+    fn memory_component_lists_only_pages_off_reset_and_hashes_like_the_memory() {
+        let mut memory = synthetic_memory();
+        let c = Component::memory("soc/sram", &memory);
+        assert_eq!(c.memory_pages(), Some((3 * PAGE_SIZE + 100, 1)));
+        assert_eq!(c.hash(), memory.hash());
+        assert_eq!(c.recompute_hash(), c.hash());
+        // The hash is a function of the contents alone: a page written
+        // back to zero drops out of the list, the short last page joins it.
+        memory.write(PAGE_SIZE + 5, &[0; 512]);
+        memory.write(3 * PAGE_SIZE + 99, &[1]);
+        let c = Component::memory("soc/sram", &memory);
+        let Contents::Pages { pages, .. } = &c.contents else {
+            unreachable!()
+        };
+        assert_eq!(pages.len(), 1);
+        assert_eq!((pages[0].0, pages[0].1.len()), (3, 100));
+        let mut fresh = PagedBytes::new(3 * PAGE_SIZE + 100, 0);
+        fresh.write(3 * PAGE_SIZE + 99, &[1]);
+        assert_eq!(c.hash(), fresh.hash());
+        assert_eq!(c.recompute_hash(), c.hash());
+    }
+
+    #[test]
     fn load_rejects_corrupted_contents() {
         let mut snap = synthetic_snapshot();
         // Flip a content byte without updating the recorded hash — exactly
         // what on-disk corruption between save and load looks like.
-        snap.components[1].bytes[17] ^= 0x40;
+        pages_mut(&mut snap).1[0].1[17] ^= 0x40;
         let path = temp_path("corrupt.json");
         snap.save(&path).expect("save");
         match SocSnapshot::load(&path) {
@@ -592,6 +868,62 @@ mod tests {
             other => panic!("expected Corrupt error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn malformed_page_lists_are_typed_errors() {
+        let device = DeviceBuilder::new(DeviceVariant::EdSideBooster)
+            .cores(1)
+            .build();
+        let fitting = |snap: &mut SocSnapshot| {
+            *pages_mut(snap).0 = device.soc().memory(MemoryId::Sram).unwrap().len();
+        };
+        type Damage = fn(&mut PageList);
+        let cases: [(&str, Damage, usize, &str); 4] = [
+            (
+                "index past the end",
+                |p| p.push((4096, vec![7; 4096])),
+                4096,
+                "lies past",
+            ),
+            (
+                "duplicate index",
+                |p| p.push((1, vec![7; 4096])),
+                1,
+                "repeats",
+            ),
+            (
+                "descending index",
+                |p| p.push((0, vec![7; 4096])),
+                0,
+                "repeats",
+            ),
+            (
+                "short page",
+                |p| p[0].1.truncate(4095),
+                1,
+                "holds 4095 bytes",
+            ),
+        ];
+        for (what, damage, index, problem) in cases {
+            let mut snap = synthetic_snapshot();
+            fitting(&mut snap);
+            damage(pages_mut(&mut snap).1);
+            for err in [snap.verify_integrity(), snap.check_fits(&device)] {
+                match err {
+                    Err(SnapshotIoError::BadPage {
+                        component,
+                        index: at,
+                        problem: why,
+                    }) => {
+                        assert_eq!(component, "soc/sram", "{what}");
+                        assert_eq!(at, index, "{what}");
+                        assert!(why.starts_with(problem), "{what}: {why}");
+                    }
+                    other => panic!("{what}: expected BadPage, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -612,14 +944,30 @@ mod tests {
 
     #[test]
     fn every_byte_value_round_trips_as_lowercase_hex() {
-        let c = Component::new(MEMORIES[1].0, (0..=255u8).collect());
+        let c = Component::state((0..=255u8).collect());
         let json = serde_json::to_string(&c).unwrap();
         let hex: String = (0..=255u8).map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             json,
             format!(
-                "{{\"name\":\"soc/sram\",\"hash\":{},\"bytes\":\"{hex}\"}}",
+                "{{\"name\":\"device/state\",\"hash\":{},\"bytes\":\"{hex}\"}}",
                 c.hash()
+            )
+        );
+        assert_eq!(serde_json::from_str::<Component>(&json).unwrap(), c);
+
+        let mut memory = PagedBytes::new(2 * PAGE_SIZE, 0);
+        memory.write(PAGE_SIZE, &(0..=255u8).collect::<Vec<_>>());
+        let c = Component::memory("soc/emem", &memory);
+        let json = serde_json::to_string(&c).unwrap();
+        let page_hex = format!("{hex}{}", "00".repeat(PAGE_SIZE - 256));
+        assert_eq!(
+            json,
+            format!(
+                "{{\"name\":\"soc/emem\",\"hash\":{},\"size\":{},\
+                 \"pages\":[{{\"index\":1,\"hex\":\"{page_hex}\"}}]}}",
+                c.hash(),
+                2 * PAGE_SIZE
             )
         );
         assert_eq!(serde_json::from_str::<Component>(&json).unwrap(), c);
@@ -633,17 +981,36 @@ mod tests {
             ("0g", "byte 1 is not a lowercase hex digit"),
             ("é", "byte 0 is not a lowercase hex digit"),
         ] {
-            let json = format!("{{\"name\":\"soc/sram\",\"hash\":0,\"bytes\":\"{hex}\"}}");
+            let json = format!("{{\"name\":\"device/state\",\"hash\":0,\"bytes\":\"{hex}\"}}");
             let err = serde_json::from_str::<Component>(&json).unwrap_err();
             assert!(err.to_string().contains(why), "{hex}: {err}");
+            let json = format!(
+                "{{\"name\":\"soc/sram\",\"hash\":0,\"size\":1,\
+                 \"pages\":[{{\"index\":0,\"hex\":\"{hex}\"}}]}}"
+            );
+            let err = serde_json::from_str::<Component>(&json).unwrap_err();
+            assert!(err.to_string().contains(why), "page {hex}: {err}");
         }
+        let json = "{\"name\":\"soc/rom\",\"hash\":0,\"bytes\":\"\"}";
+        let err = serde_json::from_str::<Component>(json).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unknown snapshot component soc/rom"),
+            "{err}"
+        );
+        let json = "{\"name\":\"soc/sram\",\"hash\":0,\"size\":4294967297,\"pages\":[]}";
+        let err = serde_json::from_str::<Component>(json).unwrap_err();
+        assert!(
+            err.to_string().contains("exceeds the 32-bit address space"),
+            "{err}"
+        );
     }
 
     #[test]
     fn version_2_decimal_array_file_is_a_typed_error() {
         let path = temp_path("v2.json");
         let json = format!(
-            "{{\"version\":2,\"cycle\":7,\"components\":[{{\"name\":\"soc/sram\",\
+            "{{\"version\":2,\"cycle\":7,\"components\":[{{\"name\":\"device/state\",\
              \"hash\":{},\"bytes\":[1,2,3]}}]}}",
             fnv1a64(&[1, 2, 3])
         );
@@ -679,15 +1046,19 @@ mod tests {
             other => panic!("expected Misfit error, got {other:?}"),
         }
 
-        // A short SRAM image whose recorded hash was recomputed passes the
-        // integrity check; only check_fits stands between it and a panic.
+        // A one-byte-short SRAM image whose recorded hash was recomputed
+        // passes the integrity check; only check_fits stands between it
+        // and a panic.
         let sram = snap
             .components
             .iter_mut()
             .find(|c| c.name == "soc/sram")
             .unwrap();
-        sram.bytes.pop();
-        sram.hash = fnv1a64(&sram.bytes);
+        let Contents::Pages { size, .. } = &mut sram.contents else {
+            unreachable!()
+        };
+        *size -= 1;
+        sram.hash = sram.recompute_hash();
         snap.verify_integrity().expect("hash is consistent");
         match snap.check_fits(&booster) {
             Err(SnapshotIoError::Misfit {

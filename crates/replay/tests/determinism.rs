@@ -189,7 +189,7 @@ proptest! {
         // Dirty the emulation RAM behind the window so the round-trip has
         // real calibration bytes to preserve.
         if let Some(emem) = dev.soc_mut().mapper_mut().emem_mut() {
-            emem.bytes_mut()[..4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+            emem.write_bytes(0, &0xDEAD_BEEFu32.to_le_bytes());
         }
         let log = InputLog::new();
         let mut rep = Replayer::new(&log);

@@ -635,7 +635,7 @@ mod tests {
         let mut ram = Sram::new(0x10000, 0).with_base(RAM_BASE);
         for (i, instr) in program.iter().enumerate() {
             let word = instr.encode();
-            ram.bytes_mut()[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+            ram.write_bytes(i * 4, &word.to_le_bytes());
         }
         let t = bus.add_target(ram);
         bus.map_range(AddrRange::new(RAM_BASE, 0x10000), t);
@@ -863,7 +863,7 @@ mod tests {
         let mut bus: Bus<Sram> = Bus::new(1);
         let mut ram = Sram::new(0x1000, 0).with_base(RAM_BASE);
         for (i, instr) in p.iter().enumerate() {
-            ram.bytes_mut()[i * 4..i * 4 + 4].copy_from_slice(&instr.encode().to_le_bytes());
+            ram.write_bytes(i * 4, &instr.encode().to_le_bytes());
         }
         let t = bus.add_target(ram);
         bus.map_range(AddrRange::new(RAM_BASE, 0x1000), t);
@@ -916,7 +916,7 @@ mod tests {
         let mut bus: Bus<Sram> = Bus::new(1);
         let mut ram = Sram::new(0x1000, 0).with_base(RAM_BASE);
         for (i, instr) in p.iter().enumerate() {
-            ram.bytes_mut()[i * 4..i * 4 + 4].copy_from_slice(&instr.encode().to_le_bytes());
+            ram.write_bytes(i * 4, &instr.encode().to_le_bytes());
         }
         let t = bus.add_target(ram);
         bus.map_range(AddrRange::new(RAM_BASE, 0x1000), t);
@@ -970,7 +970,7 @@ mod tests {
         let mut bus: Bus<Sram> = Bus::new(1);
         let mut ram = Sram::new(0x1000, 0).with_base(RAM_BASE);
         for (i, instr) in p.iter().enumerate() {
-            ram.bytes_mut()[i * 4..i * 4 + 4].copy_from_slice(&instr.encode().to_le_bytes());
+            ram.write_bytes(i * 4, &instr.encode().to_le_bytes());
         }
         let t = bus.add_target(ram);
         bus.map_range(AddrRange::new(RAM_BASE, 0x1000), t);
@@ -1056,7 +1056,7 @@ mod tests {
             let mut bus: Bus<Sram> = Bus::new(1);
             let mut ram = Sram::new(0x1000, 0).with_base(RAM_BASE);
             for (i, instr) in p.iter().enumerate() {
-                ram.bytes_mut()[i * 4..i * 4 + 4].copy_from_slice(&instr.encode().to_le_bytes());
+                ram.write_bytes(i * 4, &instr.encode().to_le_bytes());
             }
             let t = bus.add_target(ram);
             bus.map_range(AddrRange::new(RAM_BASE, 0x1000), t);

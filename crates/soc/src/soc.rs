@@ -15,7 +15,7 @@ use crate::cpu::{CoreConfig, Cpu, CpuState};
 use crate::event::{CoreId, CycleRecord, SocEvent};
 use crate::isa::MemWidth;
 use crate::kernel::HaltStop;
-use crate::mem::{EmulationRam, Flash, SegmentRole, Sram};
+use crate::mem::{EmulationRam, Flash, PagedBytes, SegmentRole, Sram, FLASH_ERASED};
 use crate::overlay::{OverlayMapper, OverlayState};
 use crate::periph::{PeriphBlock, PeriphState};
 use crate::sink::{Collect, CycleSink, NullSink};
@@ -541,6 +541,17 @@ pub enum MemoryId {
     Emem,
 }
 
+impl MemoryId {
+    /// The value every byte of the memory holds after reset: erased
+    /// flash reads [`FLASH_ERASED`], the RAMs zero.
+    pub fn reset_value(self) -> u8 {
+        match self {
+            MemoryId::Flash => FLASH_ERASED,
+            MemoryId::Sram | MemoryId::Emem => 0,
+        }
+    }
+}
+
 /// The simulated SoC.
 ///
 /// Fields are `pub(crate)` so the execution kernel (`crate::kernel`) can
@@ -741,16 +752,12 @@ impl Soc {
                 .mapper_mut()
                 .flash_mut()
                 .program(addr - memmap::FLASH_BASE, bytes),
-            BackdoorRegion::Sram => {
-                self.sram_mut().bytes_mut()[off..off + bytes.len()].copy_from_slice(bytes);
-            }
-            BackdoorRegion::Emem => {
-                let emem = self
-                    .mapper_mut()
-                    .emem_mut()
-                    .ok_or(BackdoorError::NoEmulationRam { addr })?;
-                emem.bytes_mut()[off..off + bytes.len()].copy_from_slice(bytes);
-            }
+            BackdoorRegion::Sram => self.sram_mut().write_bytes(off, bytes),
+            BackdoorRegion::Emem => self
+                .mapper_mut()
+                .emem_mut()
+                .ok_or(BackdoorError::NoEmulationRam { addr })?
+                .write_bytes(off, bytes),
         }
         Ok(())
     }
@@ -899,10 +906,34 @@ impl Soc {
     /// Borrows the raw byte image of one memory, or `None` when the device
     /// variant does not have it fitted (emulation RAM on production parts).
     pub fn memory_image(&self, id: MemoryId) -> Option<&[u8]> {
+        self.memory(id).map(PagedBytes::bytes)
+    }
+
+    /// Borrows one memory's contents with their page summary, or `None`
+    /// when it is not fitted. Snapshot layers hash and capture memories
+    /// through this.
+    pub fn memory(&self, id: MemoryId) -> Option<&PagedBytes> {
         match id {
-            MemoryId::Flash => Some(self.mapper().flash().bytes()),
-            MemoryId::Sram => Some(self.sram().bytes()),
-            MemoryId::Emem => self.mapper().emem().map(|e| e.bytes()),
+            MemoryId::Flash => Some(self.mapper().flash().paged()),
+            MemoryId::Sram => Some(self.sram().paged()),
+            MemoryId::Emem => self.mapper().emem().map(EmulationRam::paged),
+        }
+    }
+
+    /// The fitted memory `id`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory is not fitted.
+    fn memory_mut(&mut self, id: MemoryId) -> &mut PagedBytes {
+        match id {
+            MemoryId::Flash => self.mapper_mut().flash_mut().paged_mut(),
+            MemoryId::Sram => self.sram_mut().paged_mut(),
+            MemoryId::Emem => self
+                .mapper_mut()
+                .emem_mut()
+                .expect("emulation RAM not fitted")
+                .paged_mut(),
         }
     }
 
@@ -913,31 +944,25 @@ impl Soc {
     /// Panics if the image length does not match the memory's size or the
     /// memory is not fitted.
     pub fn restore_memory_image(&mut self, id: MemoryId, image: &[u8]) {
-        match id {
-            MemoryId::Flash => {
-                let flash = self.mapper_mut().flash_mut();
-                assert_eq!(
-                    flash.size() as usize,
-                    image.len(),
-                    "flash image size mismatch"
-                );
-                flash.program(0, image);
-            }
-            MemoryId::Sram => {
-                let dst = self.sram_mut().bytes_mut();
-                assert_eq!(dst.len(), image.len(), "SRAM image size mismatch");
-                dst.copy_from_slice(image);
-            }
-            MemoryId::Emem => {
-                let dst = self
-                    .mapper_mut()
-                    .emem_mut()
-                    .expect("emulation RAM not fitted")
-                    .bytes_mut();
-                assert_eq!(dst.len(), image.len(), "emulation-RAM image size mismatch");
-                dst.copy_from_slice(image);
-            }
-        }
+        let memory = self.memory_mut(id);
+        assert_eq!(memory.len(), image.len(), "{id:?} image size mismatch");
+        memory.write(0, image);
+    }
+
+    /// Restores a sparse image of one memory: the listed `(index, bytes)`
+    /// pages (see [`PagedBytes::pages`]) by strictly ascending index, the
+    /// reset value everywhere else. Costs O(pages + listed bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory is not fitted, or as
+    /// [`PagedBytes::restore_pages`] does on a bad page list.
+    pub fn restore_memory_pages<'a>(
+        &mut self,
+        id: MemoryId,
+        pages: impl IntoIterator<Item = (usize, &'a [u8])>,
+    ) {
+        self.memory_mut(id).restore_pages(pages);
     }
 
     /// Advances the SoC by one cycle, filling the internal scratch buffer
