@@ -607,9 +607,9 @@ fn kind_from_code(code: u8) -> InterfaceKind {
 }
 
 /// Serializable runtime state of a whole [`Device`] — everything except the
-/// memory contents (flash, SRAM, emulation RAM), which are exposed as raw
-/// images by [`mcds_soc::soc::Soc::memory_image`] and snapshotted
-/// separately as raw byte components.
+/// memory contents (flash, SRAM, emulation RAM), which are exposed with
+/// their page summaries by [`mcds_soc::soc::Soc::memory`] and snapshotted
+/// separately as page lists.
 ///
 /// Restoring requires a device built with the identical configuration
 /// (variant, cores, MCDS config, trace segments); the restore methods
@@ -816,7 +816,7 @@ impl Device {
 
     /// Restores state captured by [`Device::save_state`] onto a device
     /// built with the identical configuration. Memory contents are restored
-    /// separately via [`mcds_soc::soc::Soc::restore_memory_image`].
+    /// separately via [`mcds_soc::soc::Soc::restore_memory_pages`].
     ///
     /// # Panics
     ///
@@ -1721,7 +1721,7 @@ mod tests {
     fn full_state(dev: &Device) -> (String, Vec<Option<Vec<u8>>>) {
         use mcds_soc::soc::MemoryId;
         let memories = [MemoryId::Flash, MemoryId::Sram, MemoryId::Emem]
-            .map(|id| dev.soc().memory_image(id).map(<[u8]>::to_vec));
+            .map(|id| dev.soc().memory(id).map(|m| m.bytes().to_vec()));
         (format!("{:?}", dev.save_state()), memories.to_vec())
     }
 

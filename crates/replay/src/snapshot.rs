@@ -174,13 +174,17 @@ pub enum SnapshotIoError {
         expected: u32,
     },
     /// A component's contents no longer match its recorded hash — the file
-    /// was corrupted (or tampered with) between save and load.
+    /// was corrupted (or tampered with) between save and load. A memory
+    /// component whose page list is malformed (an index past the image's
+    /// end or out of order, a page of the wrong length) is corrupt too,
+    /// with `found` 0: a capture never writes one, and it cannot be hashed.
     Corrupt {
         /// Name of the failing component.
         component: String,
         /// Hash recorded at capture time.
         expected: u64,
-        /// Hash recomputed from the loaded contents.
+        /// Hash recomputed from the loaded contents (0 for a malformed
+        /// page list).
         found: u64,
     },
     /// A memory component does not fit the device it is restored onto:
@@ -193,17 +197,6 @@ pub enum SnapshotIoError {
         expected: usize,
         /// Size of the component's image.
         found: usize,
-    },
-    /// A memory component's page list is malformed: a page index lies
-    /// past the image's end or does not ascend, or a page has the wrong
-    /// length. A capture never writes one.
-    BadPage {
-        /// Name of the memory component.
-        component: String,
-        /// Index of the offending page.
-        index: usize,
-        /// What is wrong with it.
-        problem: String,
     },
 }
 
@@ -237,11 +230,6 @@ impl fmt::Display for SnapshotIoError {
                 "snapshot component {component} holds {found} bytes, the device's memory \
                  {expected}"
             ),
-            SnapshotIoError::BadPage {
-                component,
-                index,
-                problem,
-            } => write!(f, "snapshot component {component} page {index} {problem}"),
         }
     }
 }
@@ -253,8 +241,7 @@ impl std::error::Error for SnapshotIoError {
             SnapshotIoError::Json { source, .. } => Some(source),
             SnapshotIoError::Version { .. }
             | SnapshotIoError::Corrupt { .. }
-            | SnapshotIoError::Misfit { .. }
-            | SnapshotIoError::BadPage { .. } => None,
+            | SnapshotIoError::Misfit { .. } => None,
         }
     }
 }
@@ -354,32 +341,24 @@ impl Component {
     ///
     /// # Errors
     ///
-    /// [`SnapshotIoError::BadPage`] naming the first bad page.
+    /// [`SnapshotIoError::Corrupt`] (with `found` 0) on the first bad page.
     fn check_pages(&self) -> Result<(), SnapshotIoError> {
         let Contents::Pages { size, pages } = &self.contents else {
             return Ok(());
         };
         let mut next = 0;
         for (index, bytes) in pages {
-            let problem = if *index >= page_count(*size) {
-                format!("lies past the {}-page image", page_count(*size))
-            } else if *index < next {
-                "repeats or is out of order".to_string()
-            } else if bytes.len() != page_len(*size, *index) {
-                format!(
-                    "holds {} bytes, not {}",
-                    bytes.len(),
-                    page_len(*size, *index)
-                )
-            } else {
-                next = index + 1;
-                continue;
-            };
-            return Err(SnapshotIoError::BadPage {
-                component: self.name.clone(),
-                index: *index,
-                problem,
-            });
+            if *index < next
+                || *index >= page_count(*size)
+                || bytes.len() != page_len(*size, *index)
+            {
+                return Err(SnapshotIoError::Corrupt {
+                    component: self.name.clone(),
+                    expected: self.hash,
+                    found: 0,
+                });
+            }
+            next = index + 1;
         }
         Ok(())
     }
@@ -614,7 +593,7 @@ impl SocSnapshot {
     /// # Errors
     ///
     /// [`SnapshotIoError::Misfit`] naming the first memory that does not
-    /// fit, [`SnapshotIoError::BadPage`] the first malformed page.
+    /// fit, [`SnapshotIoError::Corrupt`] the first malformed page list.
     pub fn check_fits(&self, dev: &Device) -> Result<(), SnapshotIoError> {
         for (name, id) in MEMORIES {
             let Some(c) = self.component(name) else {
@@ -732,8 +711,8 @@ impl SocSnapshot {
     ///
     /// # Errors
     ///
-    /// [`SnapshotIoError::BadPage`] naming the first malformed page, or
-    /// [`SnapshotIoError::Corrupt`] the first failing component.
+    /// [`SnapshotIoError::Corrupt`] naming the first component with a
+    /// malformed page list or failing its hash.
     pub fn verify_integrity(&self) -> Result<(), SnapshotIoError> {
         for c in &self.components {
             c.check_pages()?;
@@ -766,8 +745,8 @@ impl SocSnapshot {
     ///
     /// [`SnapshotIoError::Io`] / [`SnapshotIoError::Json`] on unreadable or
     /// malformed files, [`SnapshotIoError::Version`] on an incompatible
-    /// format, [`SnapshotIoError::BadPage`] on a malformed page list,
-    /// [`SnapshotIoError::Corrupt`] when contents fail their recorded hash.
+    /// format, [`SnapshotIoError::Corrupt`] when a page list is malformed
+    /// or contents fail their recorded hash.
     pub fn load(path: &Path) -> Result<SocSnapshot, SnapshotIoError> {
         let snap: SocSnapshot = read_json(path)?;
         check_version(snap.version, SNAPSHOT_VERSION)?;
@@ -879,48 +858,25 @@ mod tests {
             *pages_mut(snap).0 = device.soc().memory(MemoryId::Sram).unwrap().len();
         };
         type Damage = fn(&mut PageList);
-        let cases: [(&str, Damage, usize, &str); 4] = [
-            (
-                "index past the end",
-                |p| p.push((4096, vec![7; 4096])),
-                4096,
-                "lies past",
-            ),
-            (
-                "duplicate index",
-                |p| p.push((1, vec![7; 4096])),
-                1,
-                "repeats",
-            ),
-            (
-                "descending index",
-                |p| p.push((0, vec![7; 4096])),
-                0,
-                "repeats",
-            ),
-            (
-                "short page",
-                |p| p[0].1.truncate(4095),
-                1,
-                "holds 4095 bytes",
-            ),
+        let cases: [(&str, Damage); 4] = [
+            ("index past the end", |p| p.push((4096, vec![7; 4096]))),
+            ("duplicate index", |p| p.push((1, vec![7; 4096]))),
+            ("descending index", |p| p.push((0, vec![7; 4096]))),
+            ("short page", |p| p[0].1.truncate(4095)),
         ];
-        for (what, damage, index, problem) in cases {
+        for (what, damage) in cases {
             let mut snap = synthetic_snapshot();
             fitting(&mut snap);
             damage(pages_mut(&mut snap).1);
             for err in [snap.verify_integrity(), snap.check_fits(&device)] {
                 match err {
-                    Err(SnapshotIoError::BadPage {
-                        component,
-                        index: at,
-                        problem: why,
+                    Err(SnapshotIoError::Corrupt {
+                        component, found, ..
                     }) => {
                         assert_eq!(component, "soc/sram", "{what}");
-                        assert_eq!(at, index, "{what}");
-                        assert!(why.starts_with(problem), "{what}: {why}");
+                        assert_eq!(found, 0, "{what}");
                     }
-                    other => panic!("{what}: expected BadPage, got {other:?}"),
+                    other => panic!("{what}: expected Corrupt, got {other:?}"),
                 }
             }
         }

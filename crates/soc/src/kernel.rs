@@ -1139,7 +1139,7 @@ mod tests {
     use crate::cpu::{CoreConfig, DEFAULT_IRQ_VECTOR};
     use crate::event::CoreId;
     use crate::isa::Reg;
-    use crate::soc::{memmap, MemoryId, Soc, SocBuilder, SocState};
+    use crate::soc::{memmap, Soc, SocBuilder, SocState};
 
     const MODES: [ExecMode; 2] = [ExecMode::PerCycle, ExecMode::BlockBatched];
 
@@ -1771,7 +1771,7 @@ mod tests {
     /// Architectural state plus the SRAM image, which the contending
     /// program writes (the lock word).
     fn state_and_sram(soc: &Soc) -> (SocState, Vec<u8>) {
-        let sram = soc.memory_image(MemoryId::Sram).expect("sram").to_vec();
+        let sram = soc.sram().bytes().to_vec();
         (soc.save_state(), sram)
     }
 
@@ -1826,7 +1826,7 @@ mod tests {
                     let (state, sram) = state_and_sram(&warm);
                     let mut cold = build();
                     cold.restore_state(&state);
-                    cold.restore_memory_image(MemoryId::Sram, &sram);
+                    cold.sram_mut().write_bytes(0, &sram);
                     cold.set_exec_mode(second);
                     cold.run_cycles(end - at);
                     proptest::prop_assert_eq!(&state_and_sram(&cold), &want);

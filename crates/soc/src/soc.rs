@@ -508,9 +508,9 @@ impl SocBuilder {
 /// arbiter (including in-flight transactions), the peripheral block, the
 /// overlay mapper's mapping state, the DMA engine and the debug-master
 /// completion latch. Memory images (flash, SRAM, emulation RAM) are large
-/// and are captured separately via [`Soc::memory_image`] /
-/// [`Soc::restore_memory_image`], so snapshot layers can hash and store
-/// them as raw byte components without serializing them.
+/// and are captured separately via [`Soc::memory`] /
+/// [`Soc::restore_memory_pages`], so snapshot layers can hash and store
+/// them page by page without serializing them.
 ///
 /// Build-time configuration (core count/configs, memory sizes, bus map,
 /// extension targets) is *not* included: [`Soc::restore_state`] requires an
@@ -530,7 +530,7 @@ pub struct SocState {
     prev_trig_in: u32,
 }
 
-/// Which memory a raw byte image belongs to (see [`Soc::memory_image`]).
+/// Which memory a raw byte image belongs to (see [`Soc::memory`]).
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryId {
     /// Program flash.
@@ -850,7 +850,7 @@ impl Soc {
 
     /// Restores state captured by [`Soc::save_state`] onto an identically
     /// built SoC. Memory contents are untouched; restore them separately
-    /// with [`Soc::restore_memory_image`].
+    /// with [`Soc::restore_memory_pages`].
     ///
     /// # Panics
     ///
@@ -903,14 +903,9 @@ impl Soc {
         self.prev_trig_in = state.prev_trig_in;
     }
 
-    /// Borrows the raw byte image of one memory, or `None` when the device
-    /// variant does not have it fitted (emulation RAM on production parts).
-    pub fn memory_image(&self, id: MemoryId) -> Option<&[u8]> {
-        self.memory(id).map(PagedBytes::bytes)
-    }
-
     /// Borrows one memory's contents with their page summary, or `None`
-    /// when it is not fitted. Snapshot layers hash and capture memories
+    /// when the device variant does not have it fitted (emulation RAM on
+    /// production parts). Snapshot layers hash and capture memories
     /// through this.
     pub fn memory(&self, id: MemoryId) -> Option<&PagedBytes> {
         match id {
@@ -918,35 +913,6 @@ impl Soc {
             MemoryId::Sram => Some(self.sram().paged()),
             MemoryId::Emem => self.mapper().emem().map(EmulationRam::paged),
         }
-    }
-
-    /// The fitted memory `id`, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memory is not fitted.
-    fn memory_mut(&mut self, id: MemoryId) -> &mut PagedBytes {
-        match id {
-            MemoryId::Flash => self.mapper_mut().flash_mut().paged_mut(),
-            MemoryId::Sram => self.sram_mut().paged_mut(),
-            MemoryId::Emem => self
-                .mapper_mut()
-                .emem_mut()
-                .expect("emulation RAM not fitted")
-                .paged_mut(),
-        }
-    }
-
-    /// Restores a raw byte image captured by [`Soc::memory_image`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image length does not match the memory's size or the
-    /// memory is not fitted.
-    pub fn restore_memory_image(&mut self, id: MemoryId, image: &[u8]) {
-        let memory = self.memory_mut(id);
-        assert_eq!(memory.len(), image.len(), "{id:?} image size mismatch");
-        memory.write(0, image);
     }
 
     /// Restores a sparse image of one memory: the listed `(index, bytes)`
@@ -962,7 +928,16 @@ impl Soc {
         id: MemoryId,
         pages: impl IntoIterator<Item = (usize, &'a [u8])>,
     ) {
-        self.memory_mut(id).restore_pages(pages);
+        let memory = match id {
+            MemoryId::Flash => self.mapper_mut().flash_mut().paged_mut(),
+            MemoryId::Sram => self.sram_mut().paged_mut(),
+            MemoryId::Emem => self
+                .mapper_mut()
+                .emem_mut()
+                .expect("emulation RAM not fitted")
+                .paged_mut(),
+        };
+        memory.restore_pages(pages);
     }
 
     /// Advances the SoC by one cycle, filling the internal scratch buffer

@@ -6,7 +6,7 @@
 //! page hash behind, and the device hash silently stops covering the
 //! bytes it changed. These properties drive random sequences of every
 //! mutation path — core stores into SRAM and an EMEM overlay segment,
-//! trace stores, backdoor writes, flash program/erase, raw image
+//! trace stores, backdoor writes, flash program/erase, sparse page
 //! restores, snapshot restores onto the same device and onto a fresh
 //! one — and after each step check the cached hash against a fold
 //! recomputed from the raw memory bytes, the captured snapshot's hash,
@@ -17,7 +17,7 @@ use mcds_psi::device::{Device, DeviceBuilder, DeviceVariant};
 use mcds_replay::{device_state_hash, extend_fnv1a64, fnv1a64, SocSnapshot};
 use mcds_soc::asm::assemble;
 use mcds_soc::cpu::CoreConfig;
-use mcds_soc::mem::{fold_page_hashes, SegmentRole, PAGE_SIZE};
+use mcds_soc::mem::{fold_page_hashes, PagedBytes, SegmentRole, PAGE_SIZE};
 use mcds_soc::soc::{memmap, MemoryId};
 use proptest::prelude::*;
 
@@ -77,7 +77,7 @@ fn reference_hash(dev: &Device) -> u64 {
         ("soc/sram", MemoryId::Sram),
         ("soc/emem", MemoryId::Emem),
     ] {
-        if let Some(image) = dev.soc().memory_image(id) {
+        if let Some(image) = dev.soc().memory(id).map(PagedBytes::bytes) {
             let pages = image.chunks(PAGE_SIZE).map(fnv1a64);
             parts.push((name, fold_page_hashes(image.len(), pages)));
         }
@@ -98,8 +98,8 @@ enum Op {
     Program(u32, Vec<u8>),
     /// `Flash::erase` of a range.
     Erase(u32, u32),
-    /// `restore_memory_image` of SRAM or EMEM with a pattern image.
-    RestoreImage(MemoryId, u8),
+    /// `restore_memory_pages` of SRAM or EMEM with a few patterned pages.
+    RestorePages(MemoryId, u8),
     /// Keep a snapshot for the restores below.
     Capture,
     /// Restore the kept snapshot onto the (since modified) device.
@@ -132,7 +132,7 @@ fn op() -> impl Strategy<Value = Op> {
             prop_oneof![Just(MemoryId::Sram), Just(MemoryId::Emem)],
             any::<u8>()
         )
-            .prop_map(|(id, seed)| Op::RestoreImage(id, seed)),
+            .prop_map(|(id, seed)| Op::RestorePages(id, seed)),
         Just(Op::Capture),
         Just(Op::RestoreSame),
         Just(Op::RestoreFresh),
@@ -161,16 +161,15 @@ fn apply(dev: &mut Device, op: &Op, kept: &mut Option<SocSnapshot>, stride: u32)
         }
         Op::Program(off, bytes) => dev.soc_mut().mapper_mut().flash_mut().program(*off, bytes),
         Op::Erase(off, len) => dev.soc_mut().mapper_mut().flash_mut().erase(*off, *len),
-        Op::RestoreImage(id, seed) => {
-            // Mostly zero (reset-valued) pages, a few patterned ones.
-            let mut image = dev.soc().memory_image(*id).expect("fitted").to_vec();
-            image.fill(0);
-            for (i, page) in image.chunks_mut(PAGE_SIZE).enumerate() {
-                if (i as u8).wrapping_add(*seed) % 5 == 0 {
-                    page.fill(seed.wrapping_add(i as u8) | 1);
-                }
-            }
-            dev.soc_mut().restore_memory_image(*id, &image);
+        Op::RestorePages(id, seed) => {
+            // A few patterned pages; every other page goes back to reset.
+            let count = dev.soc().memory(*id).expect("fitted").len() / PAGE_SIZE;
+            let pages: Vec<(usize, Vec<u8>)> = (0..count)
+                .filter(|i| (*i as u8).wrapping_add(*seed) % 5 == 0)
+                .map(|i| (i, vec![seed.wrapping_add(i as u8) | 1; PAGE_SIZE]))
+                .collect();
+            dev.soc_mut()
+                .restore_memory_pages(*id, pages.iter().map(|(i, b)| (*i, b.as_slice())));
         }
         Op::Capture => *kept = Some(SocSnapshot::capture(dev)),
         Op::RestoreSame => {
@@ -212,7 +211,8 @@ proptest! {
             let mut revived = device(stride);
             parsed.restore_into(&mut revived);
             prop_assert!(device_state_hash(&revived) == hash, "{what}: revived hash");
-            prop_assert!(revived.soc().memory_image(MemoryId::Emem) == dev.soc().memory_image(MemoryId::Emem), "{what}: revived EMEM bytes");
+            let emem = |d: &Device| d.soc().memory(MemoryId::Emem).map(|m| fnv1a64(m.bytes()));
+            prop_assert!(emem(&revived) == emem(&dev), "{what}: revived EMEM bytes");
         }
     }
 }
